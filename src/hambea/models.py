@@ -26,15 +26,20 @@ for the Schroedinger systems.  With these choices J grad H = A U + B(U) holds
 exactly on the discretized band, which the consistency checks below verify by
 finite differences.
 
-Pointwise forces are evaluated pseudospectrally: transform to the physical
-grid, apply the force, transform back, restrict to the band.  Grids created
-through ``make_grid`` are padded so that polynomial products of band-limited
-states are alias-free on the band and energy quadratures are exact; entire
-(non-polynomial) forces use a fixed generous padding instead.
+Each model has one nonlinearity, ``force(grid, coeffs, m)``, on coefficient
+arrays of shape (..., components, band): leading axes are batch axes, so a
+stack of Runge-Kutta stages goes through one FFT pair.  ``apply_B`` is the
+single-state wrapper around it shared by every model.  Pointwise forces are
+evaluated pseudospectrally: transform to the physical grid, apply the force,
+transform back, restrict to the band.  Grids created through ``make_grid``
+are padded so that polynomial products of band-limited states are alias-free
+on the band and energy quadratures are exact; entire (non-polynomial) forces
+use a fixed generous padding instead.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -148,58 +153,42 @@ class RealChart:
         self.model = model
         self.grid = grid
         self.m = m
-        mask = band_mask(grid, m, model.q)
         K = grid.n_modes
-        dofs: list[tuple[int, int, int]] = []  # (component, k, 0=re / 1=im)
-        scales: list[float] = []
-        w2 = model._pairing_weights(grid)
-        if model.components == 2 or model.is_real_field:
-            for c in range(model.components):
-                for k in range(K + 1):
-                    if not mask[K + k]:
-                        continue
-                    if k == 0:
-                        dofs.append((c, 0, 0))
-                        scales.append(math.sqrt(w2[c, K]))
-                    else:
-                        s = math.sqrt(2.0 * w2[c, K + k])
-                        dofs.append((c, k, 0))
-                        scales.append(s)
-                        dofs.append((c, k, 1))
-                        scales.append(s)
-        else:
-            for c in range(model.components):
-                for k in range(-K, K + 1):
-                    if not mask[K + k]:
-                        continue
-                    s = math.sqrt(w2[c, K + k])
-                    dofs.append((c, k, 0))
-                    scales.append(s)
-                    dofs.append((c, k, 1))
-                    scales.append(s)
-        self.dofs = dofs
-        self.scales = np.array(scales)
-        self.dim = len(dofs)
+        self._folded = model.components == 2 or model.is_real_field
+        # dofs in (component, mode, re before im) order; a folded chart keeps
+        # k >= 0 and drops the imaginary part of the zero mode
+        modes = np.flatnonzero(band_mask(grid, m, model.q))
+        if self._folded:
+            modes = modes[modes >= K]
+        mode = np.repeat(modes, 2)
+        part = np.tile([0, 1], modes.size)
+        if self._folded:
+            keep = (mode != K) | (part == 0)
+            mode, part = mode[keep], part[keep]
+        comp = np.repeat(np.arange(model.components), mode.size)
+        mode, part = np.tile(mode, model.components), np.tile(part, model.components)
+        w2 = model._pairing_weights(grid)[comp, mode]
+        if self._folded:
+            w2 = np.where(mode == K, w2, 2.0 * w2)
+        self.scales = np.sqrt(w2)
+        self.dim = mode.size
+        self._gather = (comp, mode, part)  # into the (c, band, re/im) view
+        self._is_re = part == 0
+        self._re_at = (comp[self._is_re], mode[self._is_re])
+        self._im_at = (comp[~self._is_re], mode[~self._is_re])
 
     def to_real(self, state: FourierState) -> np.ndarray:
-        K = self.grid.n_modes
-        z = np.empty(self.dim)
-        for i, (c, k, part) in enumerate(self.dofs):
-            v = state.coeffs[c, K + k]
-            z[i] = (v.real if part == 0 else v.imag) * self.scales[i]
-        return z
+        c = state.coeffs
+        return np.stack((c.real, c.imag), axis=-1)[self._gather] * self.scales
 
     def from_real(self, z: np.ndarray) -> FourierState:
         K = self.grid.n_modes
         coeffs = np.zeros((self.model.components, self.grid.band_size), dtype=complex)
-        folded = self.model.components == 2 or self.model.is_real_field
-        for i, (c, k, part) in enumerate(self.dofs):
-            v = z[i] / self.scales[i]
-            coeffs[c, K + k] += v if part == 0 else 1j * v
-        if folded:
-            for c in range(self.model.components):
-                for k in range(1, K + 1):
-                    coeffs[c, K - k] = np.conj(coeffs[c, K + k])
+        v = np.asarray(z) / self.scales
+        coeffs[self._re_at] += v[self._is_re]
+        coeffs[self._im_at] += 1j * v[~self._is_re]
+        if self._folded:
+            coeffs[:, :K] = np.conj(coeffs[:, :K:-1])
         return FourierState(self.grid, coeffs)
 
     def basis_state(self, i: int) -> FourierState:
@@ -261,9 +250,19 @@ class PdeModel:
 
     # -- nonlinearity ----------------------------------------------------
 
-    def apply_B(self, state: FourierState, m: float | None = None) -> FourierState:
-        """Band-projected nonlinearity P_m B(P_m U)."""
+    def force(
+        self, grid: FourierGrid, coeffs: np.ndarray, m: float | None = None
+    ) -> np.ndarray:
+        """Band-projected nonlinearity P_m B(P_m U) on coefficient arrays.
+
+        coeffs has shape (..., components, band_size); leading axes are batch
+        axes evaluated independently, with one FFT pair for the whole batch.
+        """
         raise NotImplementedError
+
+    def apply_B(self, state: FourierState, m: float | None = None) -> FourierState:
+        """Band-projected nonlinearity P_m B(P_m U) of one state."""
+        return FourierState(state.grid, self.force(state.grid, state.coeffs, m))
 
     def force_series_coeffs(
         self, grid: FourierGrid, coeff_series: np.ndarray, m: float | None
@@ -272,7 +271,7 @@ class PdeModel:
 
         coeff_series has shape (order+1, components, band_size); entry j is the
         j-th series coefficient.  Returns the series of B(P_m U(h)) restricted
-        to the band of radius m, using the same pseudospectral path as apply_B
+        to the band of radius m, using the same pseudospectral path as force
         order by order.
         """
         raise NotImplementedError
@@ -301,8 +300,13 @@ class PdeModel:
 
     # -- helpers shared by subclasses -------------------------------------
 
-    def _masked(self, state: FourierState, m: float | None) -> FourierState:
-        return state if m is None else self.project(state, m)
+    def _masked(self, grid: FourierGrid, coeffs: np.ndarray, m: float | None) -> np.ndarray:
+        """coeffs itself for m = None, else a copy with the modes above m zeroed."""
+        if m is None:
+            return coeffs
+        out = coeffs.copy()
+        out[..., ~band_mask(grid, m, self.q)] = 0.0
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -327,23 +331,29 @@ class WaveModel(PdeModel):
     def _product_degree(self) -> int | None:
         return self.potential.degree
 
-    def a_blocks(self, grid: FourierGrid) -> np.ndarray:
+    @staticmethod
+    @functools.lru_cache(maxsize=32)
+    def a_blocks(grid: FourierGrid) -> np.ndarray:
+        """Per-mode matrices of A, built once per grid (read-only)."""
         k = grid.wavenumbers.astype(float)
         blocks = np.zeros((grid.band_size, 2, 2), dtype=complex)
         nz = k != 0
         blocks[nz, 0, 1] = 1.0
         blocks[nz, 1, 0] = -(k[nz] ** 2)
+        blocks.flags.writeable = False
         return blocks
 
-    def apply_B(self, state: FourierState, m: float | None = None) -> FourierState:
-        um = self._masked(state, m)
-        K = um.grid.n_modes
-        u_phys = um.grid.to_phys(um.coeffs[0]).real
+    def force(
+        self, grid: FourierGrid, coeffs: np.ndarray, m: float | None = None
+    ) -> np.ndarray:
+        cm = self._masked(grid, coeffs, m)
+        K = grid.n_modes
+        u_phys = grid.to_phys(cm[..., 0, :]).real
         force = -self.potential.derivative(u_phys)
-        out = np.zeros_like(um.coeffs)
-        out[1] = um.grid.to_coeffs(force)
-        out[0, K] = um.coeffs[1, K]  # zero-mode coupling from the Jordan block
-        return self._masked(FourierState(um.grid, out), m)
+        out = np.zeros_like(cm)
+        out[..., 1, :] = grid.to_coeffs(force)
+        out[..., 0, K] = cm[..., 1, K]  # zero-mode coupling from the Jordan block
+        return self._masked(grid, out, m)
 
     def force_series_coeffs(
         self, grid: FourierGrid, coeff_series: np.ndarray, m: float | None
@@ -396,9 +406,14 @@ class _SchroedingerBase(PdeModel):
     q = 2.0
     components = 1
 
-    def a_blocks(self, grid: FourierGrid) -> np.ndarray:
+    @staticmethod
+    @functools.lru_cache(maxsize=32)
+    def a_blocks(grid: FourierGrid) -> np.ndarray:
+        """Per-mode matrices of A, built once per grid (read-only)."""
         k = grid.wavenumbers.astype(float)
-        return (-1j * k**2).reshape(-1, 1, 1)
+        blocks = (-1j * k**2).reshape(-1, 1, 1)
+        blocks.flags.writeable = False
+        return blocks
 
     def apply_J_inv(self, state: FourierState) -> FourierState:
         return FourierState(state.grid, 1j * state.coeffs)
@@ -428,14 +443,15 @@ class NlsModel(_SchroedingerBase):
     def _product_degree(self) -> int | None:
         return 2 * self.sigma + 2
 
-    def apply_B(self, state: FourierState, m: float | None = None) -> FourierState:
-        um = self._masked(state, m)
+    def force(
+        self, grid: FourierGrid, coeffs: np.ndarray, m: float | None = None
+    ) -> np.ndarray:
+        cm = self._masked(grid, coeffs, m)
         if self.lam == 0.0:
-            return FourierState.zeros(um.grid, 1)
-        u = um.grid.to_phys(um.coeffs[0])
+            return np.zeros(cm.shape, dtype=complex)
+        u = grid.to_phys(cm[..., 0, :])
         force = -1j * self.lam * np.abs(u) ** (2 * self.sigma) * u
-        out = um.grid.to_coeffs(force)[np.newaxis, :]
-        return self._masked(FourierState(um.grid, out), m)
+        return self._masked(grid, grid.to_coeffs(force)[..., np.newaxis, :], m)
 
     def force_series_coeffs(
         self, grid: FourierGrid, coeff_series: np.ndarray, m: float | None
@@ -486,16 +502,19 @@ class NonlocalNlsModel(_SchroedingerBase):
     def _mass(self, coeffs: np.ndarray) -> float:
         return float(np.sum(np.abs(coeffs) ** 2))
 
-    def apply_B(self, state: FourierState, m: float | None = None) -> FourierState:
-        um = self._masked(state, m)
-        rho = self._mass(um.coeffs)
-        if rho < self.rho_min:
+    def force(
+        self, grid: FourierGrid, coeffs: np.ndarray, m: float | None = None
+    ) -> np.ndarray:
+        cm = self._masked(grid, coeffs, m)
+        # mass per state, each summed over its own contiguous copy as for one state
+        rho = np.sum(np.abs(np.ascontiguousarray(cm)) ** 2, axis=(-2, -1), keepdims=True)
+        low = rho[rho < self.rho_min]
+        if low.size:
             raise DomainError(
-                f"total mass {rho:.3e} below the admissible floor {self.rho_min:.3e}"
+                f"total mass {low[0]:.3e} below the admissible floor {self.rho_min:.3e}"
             )
         # V'(rho) = -1/rho^2, force = -i V'(rho) u
-        out = (1j / rho**2) * um.coeffs
-        return FourierState(um.grid, out)
+        return (1j / rho**2) * cm
 
     def force_series_coeffs(
         self, grid: FourierGrid, coeff_series: np.ndarray, m: float | None

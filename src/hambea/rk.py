@@ -12,8 +12,9 @@ band, the stage system
     W = (I - h a (x) A)^{-1} (1 (x) U + h a (x) B(W))
 
 is contracted by fixed-point iteration (optionally a dense Newton fallback),
-where the stage-coupled resolvent is assembled and inverted mode by mode; the
-update is
+where the stage-coupled resolvent is assembled and inverted mode by mode.  The
+forces of all s stages are evaluated as one batch, B applied to the
+(s, components, band) stack through a single FFT pair.  The update is
 
     Psi_m^h(U) = S(hA) U + h (b (x) I)^T (I - h a (x) A)^{-1} B(W),
 
@@ -200,21 +201,18 @@ class Stepper:
     def _fold(self, stacked: np.ndarray) -> np.ndarray:
         """(s, c, band) -> (band, s*c)."""
         s, c, nb = stacked.shape
-        return np.moveaxis(stacked, 2, 0).reshape(nb, s * c)
+        return stacked.transpose(2, 0, 1).reshape(nb, s * c)
 
     def _unfold(self, flat: np.ndarray) -> np.ndarray:
         nb = flat.shape[0]
         s, c = self.tab.stages, self.model.components
-        return np.moveaxis(flat.reshape(nb, s, c), 0, 2)
+        return flat.reshape(nb, s, c).transpose(1, 2, 0)
 
     def _apply_resolvent(self, stacked: np.ndarray) -> np.ndarray:
         return self._unfold(np.einsum("kab,kb->ka", self._resolvent, self._fold(stacked)))
 
     def _force_stack(self, stages: np.ndarray) -> np.ndarray:
-        out = np.empty_like(stages)
-        for i in range(self.tab.stages):
-            out[i] = self.model.apply_B(FourierState(self.grid, stages[i]), self.m).coeffs
-        return out
+        return self.model.force(self.grid, stages, self.m)
 
     def _rhs(self, u_coeffs: np.ndarray, force: np.ndarray) -> np.ndarray:
         mixed = np.einsum("ij,jcm->icm", self.tab.a, force)

@@ -26,6 +26,7 @@ energy norm.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -71,21 +72,25 @@ class FourierGrid:
     def band_size(self) -> int:
         return 2 * self.n_modes + 1
 
+    @functools.cached_property
     def _band_slots(self) -> np.ndarray:
-        return np.mod(self.wavenumbers, self.n_phys)
+        """FFT-array positions of the band modes, built once per grid (read-only)."""
+        slots = np.mod(self.wavenumbers, self.n_phys)
+        slots.flags.writeable = False
+        return slots
 
     def to_phys(self, coeffs: np.ndarray) -> np.ndarray:
         """Evaluate band coefficients on the physical grid (last axis = modes)."""
         coeffs = np.asarray(coeffs)
         full = np.zeros(coeffs.shape[:-1] + (self.n_phys,), dtype=complex)
-        full[..., self._band_slots()] = coeffs
+        full[..., self._band_slots] = coeffs
         return np.fft.ifft(full, axis=-1) * (self.n_phys / _SQRT_2PI)
 
     def to_coeffs(self, values: np.ndarray) -> np.ndarray:
         """Band coefficients of grid values (exact for band-limited data)."""
         values = np.asarray(values, dtype=complex)
         full = np.fft.fft(values, axis=-1) * (_SQRT_2PI / self.n_phys)
-        return full[..., self._band_slots()]
+        return full[..., self._band_slots]
 
     def quadrature(self, density: np.ndarray) -> complex | float:
         """Trapezoidal integral of grid values over the circle (spectrally exact)."""
@@ -184,8 +189,12 @@ def _component_offsets(components: int, q: float) -> tuple[float, ...]:
     raise ValueError(f"no weight convention for components={components}, q={q}")
 
 
+@functools.lru_cache(maxsize=64)
 def _mode_weights(grid: FourierGrid, components: int, idx: GevreyIndex) -> np.ndarray:
-    """Per-component, per-mode Gevrey weights; zero mode gets weight 1."""
+    """Per-component, per-mode Gevrey weights; zero mode gets weight 1.
+
+    Memoised per (grid, components, index); the shared result is read-only.
+    """
     k = np.abs(grid.wavenumbers.astype(float))
     lam = k**idx.q
     offsets = _component_offsets(components, idx.q)
@@ -195,6 +204,7 @@ def _mode_weights(grid: FourierGrid, components: int, idx: GevreyIndex) -> np.nd
             wc = lam**idx.ell * k**off * np.exp(idx.tau * k)
             wc[k == 0] = 1.0
             w[c] = wc
+    w.flags.writeable = False
     return w
 
 

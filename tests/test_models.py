@@ -18,7 +18,7 @@ from hambea.models import (
     grad_H_consistency,
     measure_force_scale,
 )
-from hambea.spectral import symmetrize_real
+from hambea.spectral import GevreyIndex, _mode_weights, band_mask, symmetrize_real
 
 from conftest import random_state
 
@@ -313,3 +313,114 @@ def test_measure_force_scale(nls, rng):
     assert val > 0.0
     # dominated by the largest sample, monotone under adding states
     assert measure_force_scale(nls, states[:1]) <= val + 1e-15
+
+
+# -- batched force, chart index maps and shared caches --------------------------
+
+_FORCE_MODELS = {
+    "nls-cubic": ("nls", {"sigma": 1, "lam": 1.0}),
+    "nls-quintic": ("nls", {"sigma": 2, "lam": -0.5}),
+    "nls-free": ("nls", {"sigma": 1, "lam": 0.0}),
+    "wave-poly": ("wave", {"potential": {"kind": "poly", "coeffs": {"2": 0.5, "4": 0.25}}}),
+    "sine-gordon": ("wave", {"potential": {"kind": "sine_gordon", "gamma": 1.0}}),
+    "nonlocal-nls": ("nonlocal_nls", {}),
+}
+
+
+def _same_bits(a, b):
+    """Bitwise array equality (tells -0.0 from 0.0, which array_equal does not)."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("m", [None, 4.0])
+@pytest.mark.parametrize("key", list(_FORCE_MODELS))
+def test_batched_force_matches_per_state_apply_B(key, m, rng):
+    model = make_model(*_FORCE_MODELS[key])
+    grid = model.make_grid(6)
+    states = [
+        random_state(grid, model.components, rng, real_field=model.is_real_field)
+        for _ in range(3)
+    ]
+    want = np.stack([model.apply_B(s, m).coeffs for s in states])
+    stack = np.stack([s.coeffs for s in states])
+    # the stepper hands over a strided (stages, c, band) view of a (band, s*c) array
+    strided = np.ascontiguousarray(stack.transpose(2, 0, 1)).transpose(1, 2, 0)
+    for batch in (stack, strided):
+        assert _same_bits(model.force(grid, batch, m), want)
+
+
+def _reference_chart(model, grid, m):
+    """Per-dof (component, k, re/im) list and scales, built mode by mode."""
+    mask = band_mask(grid, m, model.q)
+    K = grid.n_modes
+    w2 = model._pairing_weights(grid)
+    folded = model.components == 2 or model.is_real_field
+    dofs, scales = [], []
+    for c in range(model.components):
+        for k in range(0 if folded else -K, K + 1):
+            if not mask[K + k]:
+                continue
+            if folded and k == 0:
+                dofs.append((c, 0, 0))
+                scales.append(math.sqrt(w2[c, K]))
+                continue
+            s = math.sqrt((2.0 if folded else 1.0) * w2[c, K + k])
+            dofs += [(c, k, 0), (c, k, 1)]
+            scales += [s, s]
+    return dofs, np.array(scales), folded
+
+
+def _reference_to_real(dofs, scales, grid, state):
+    K = grid.n_modes
+    z = np.empty(len(dofs))
+    for i, (c, k, part) in enumerate(dofs):
+        v = state.coeffs[c, K + k]
+        z[i] = (v.real if part == 0 else v.imag) * scales[i]
+    return z
+
+
+def _reference_from_real(dofs, scales, folded, grid, components, z):
+    K = grid.n_modes
+    coeffs = np.zeros((components, grid.band_size), dtype=complex)
+    for i, (c, k, part) in enumerate(dofs):
+        v = z[i] / scales[i]
+        coeffs[c, K + k] += v if part == 0 else 1j * v
+    if folded:
+        for c in range(components):
+            for k in range(1, K + 1):
+                coeffs[c, K - k] = np.conj(coeffs[c, K + k])
+    return coeffs
+
+
+@pytest.mark.parametrize("m", [None, 4.0])
+@pytest.mark.parametrize("key", ["nls-cubic", "wave-poly"])
+def test_chart_matches_per_dof_reference(key, m, rng):
+    model = make_model(*_FORCE_MODELS[key])
+    grid = model.make_grid(5)
+    chart = model.chart(grid, m)
+    dofs, scales, folded = _reference_chart(model, grid, m)
+    assert chart.dim == len(dofs) and _same_bits(chart.scales, scales)
+    for _ in range(3):
+        state = random_state(grid, model.components, rng, real_field=folded)
+        z = _reference_to_real(dofs, scales, grid, state)
+        assert _same_bits(chart.to_real(state), z)
+        z = z * rng.choice([-1.0, 1.0], size=z.size)  # exercise signed zeros too
+        z[::4] = -0.0
+        want = _reference_from_real(dofs, scales, folded, grid, model.components, z)
+        assert _same_bits(chart.from_real(z).coeffs, want)
+
+
+def test_shared_caches_are_read_only(nls, wave_cubic):
+    grid = nls.make_grid(4)
+    shared = [
+        _mode_weights(grid, 1, GevreyIndex(0.0, 0.0, 2.0)),
+        grid._band_slots,
+        nls.a_blocks(grid),
+        wave_cubic.a_blocks(wave_cubic.make_grid(4)),
+    ]
+    for arr in shared:
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    for cached in (_mode_weights, type(nls).a_blocks, type(wave_cubic).a_blocks):
+        assert cached.cache_info().maxsize is not None
