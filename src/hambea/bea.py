@@ -19,6 +19,10 @@ coefficients f^2 ... f^p vanish identically; the series paths exploit that,
 while the raw recursion remains available so the cancellation can be measured
 rather than assumed.
 
+Coefficients are evaluated on stacks of states of shape (N, components,
+band): each stencil level of a chain is one evaluation on all 4N stencil
+points, and the quadrature nodes of a modified energy form one stack.
+
 The truncated field f-tilde^n = f + sum_{j=p}^{n-1} h^j f^{j+1} generates the
 modified flow (a high-accuracy reference integration over one step) and the
 modified energy
@@ -37,16 +41,15 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import OrderCapError
-from .hjet import HJet, expand_step_map, fd_directional
+from .hjet import expand_step_map, fd_directional
 from .models import PdeModel
 from .rk import ButcherTableau
-from .spectral import FourierState, y_norm
+from .spectral import FourierGrid, FourierState, y_norm, y_norms
 
 N_MAX_DEFAULT = 6
 _CLEAN = 1e-16  # relative noise attributed to a directly computed field
@@ -67,21 +70,14 @@ def _compositions(total: int) -> tuple[tuple[int, ...], ...]:
     return tuple(c for c in gen(total) if len(c) >= 2)
 
 
-@dataclass
-class _Field:
-    eval: Callable[[FourierState], FourierState]
-    noise: float
-
-
 class ModifiedField:
     """Evaluator for the modified-field coefficients of (model, tableau, band).
 
-    Evaluations are memoized per state within this instance, so one instance
-    is one evaluation context; create a fresh one per experiment (or share one
-    deliberately to reuse coefficients across a step-size sweep at a fixed
-    state).  assume_order=True treats f^2..f^p as identically zero, which is
-    exact for an order-p method and keeps finite-difference noise out of the
-    higher coefficients; assume_order=False runs the raw recursion.
+    Nothing is stored per state, only per-order noise estimates, so one
+    instance serves any number of states.  assume_order=True treats f^2..f^p
+    as identically zero, which is exact for an order-p method and keeps
+    finite-difference noise out of the higher coefficients;
+    assume_order=False runs the raw recursion.
 
     eps0 is the base relative stencil width.  The derivative chains are
     smooth (polynomial for the bundled models), so the width can sit far
@@ -105,27 +101,8 @@ class ModifiedField:
         self.n_max = n_max
         self.eps0 = eps0
         self.assume_order = assume_order
-        self._jets: dict[bytes, HJet] = {}
-        self._coeffs: dict[tuple[int, bytes], FourierState] = {}
-        self._chain_fields: dict[tuple[int, ...], _Field] = {}
         self._noise: dict[int, float] = {}
         self._probe: dict[int, float] = {}
-
-    # -- plumbing ---------------------------------------------------------
-
-    def _key(self, U: FourierState) -> bytes:
-        return U.coeffs.tobytes()
-
-    def _jet_at(self, U: FourierState, order: int) -> HJet:
-        key = self._key(U)
-        jet = self._jets.get(key)
-        if jet is None or jet.order < order:
-            jet = expand_step_map(self.model, self.tab, U, self.m, order)
-            self._jets[key] = jet
-        return jet
-
-    def _zero_like(self, U: FourierState) -> FourierState:
-        return FourierState(U.grid, np.zeros_like(U.coeffs))
 
     def _eps_rel(self, noise: float) -> float:
         """Stencil width for differentiating a field of the given noise level."""
@@ -166,59 +143,55 @@ class ModifiedField:
 
     def coefficient(self, j: int, U: FourierState) -> FourierState:
         """The coefficient f^j evaluated at U."""
+        return FourierState(U.grid, self.coefficients(j, U.grid, U.coeffs[np.newaxis])[0])
+
+    def coefficients(self, j: int, grid: FourierGrid, Y: np.ndarray) -> np.ndarray:
+        """f^j at each state of the stack Y, shape (N, components, band).
+
+        Non-finite states (trial points of an adaptive caller that blew up)
+        answer NaN without being evaluated.
+        """
         if j < 1:
             raise ValueError("coefficient index starts at 1")
         if j > max(self.n_max, 1):
             raise OrderCapError(f"coefficient order {j} exceeds the cap {self.n_max}")
-        if not np.all(np.isfinite(U.coeffs)):
-            # a trial point from an adaptive caller already blew up; answer
-            # NaN so the caller rejects it instead of recursing into overflow
-            return FourierState(U.grid, np.full_like(U.coeffs, np.nan))
+        finite = np.all(np.isfinite(Y), axis=(-2, -1))
+        if not finite.all():
+            out = np.full(Y.shape, np.nan, dtype=complex)
+            if finite.any():
+                out[finite] = self.coefficients(j, grid, Y[finite])
+            return out
         if self.assume_order and 2 <= j <= self.tab.order:
-            return self._zero_like(U)
-        key = (j, self._key(U))
-        hit = self._coeffs.get(key)
-        if hit is not None:
-            return hit
+            return np.zeros_like(Y)
         if j == 1:
-            um = self.model.project(U, self.m) if self.m is not None else U
-            out = self.model.apply_A(um) + self.model.apply_B(um, self.m)
-        else:
-            out = self._jet_at(U, j).coefficient(j)
-            for comp in self._terms(j):
-                term = self._chain_field(comp).eval(U)
-                out = out - (1.0 / math.factorial(len(comp))) * term
-        self._coeffs[key] = out
+            ym = self.model._masked(grid, Y, self.m)
+            blocks = self.model.a_blocks(grid)
+            return np.einsum("mij,...jm->...im", blocks, ym) + self.model.force(grid, ym, self.m)
+        out = expand_step_map(self.model, self.tab, Y, self.m, j, grid).coeffs[j]
+        for comp in self._terms(j):
+            out = out - (1.0 / math.factorial(len(comp))) * self._chain(comp, grid, Y)
         return out
 
-    def _chain_field(self, chain: tuple[int, ...]) -> _Field:
-        """Field y -> (D_{chain[0]} ... D_{chain[-2]} f^{chain[-1]})(y)."""
-        hit = self._chain_fields.get(chain)
-        if hit is not None:
-            return hit
+    def _chain(self, chain: tuple[int, ...], grid: FourierGrid, Y: np.ndarray) -> np.ndarray:
+        """(D_{chain[0]} ... D_{chain[-2]} f^{chain[-1]}) at each state of Y.
+
+        Zero where the direction vanishes, NaN where the stencil width is not
+        a positive number; all other states share one stencil evaluation.
+        """
         if len(chain) == 1:
-            k = chain[0]
-            field = _Field(lambda y, k=k: self.coefficient(k, y), self.field_noise(k))
-        else:
-            inner = self._chain_field(chain[1:])
-            k1 = chain[0]
-            eps_rel = self._eps_rel(inner.noise)
-            q = self.model.q
-
-            def ev(y: FourierState, k1=k1, inner=inner, eps_rel=eps_rel, q=q):
-                d = self.coefficient(k1, y)
-                dn = y_norm(d, q)
-                if dn == 0.0:
-                    return self._zero_like(y)
-                eps = eps_rel * (1.0 + y_norm(y, q)) / (1.0 + dn)
-                if not math.isfinite(eps) or eps <= 0.0:
-                    return FourierState(y.grid, np.full_like(y.coeffs, np.nan))
-                return fd_directional(inner.eval, y, d, eps)
-
-            noise = 1.5 * inner.noise / eps_rel + eps_rel**4 + _CLEAN
-            field = _Field(ev, noise)
-        self._chain_fields[chain] = field
-        return field
+            return self.coefficients(chain[0], grid, Y)
+        d = self.coefficients(chain[0], grid, Y)
+        dn = y_norms(grid, d, self.model.q)
+        eps_rel = self._eps_rel(self._chain_noise(chain[1:]))
+        eps = eps_rel * (1.0 + y_norms(grid, Y, self.model.q)) / (1.0 + dn)
+        usable = np.isfinite(eps) & (eps > 0.0)
+        out = np.zeros_like(Y)
+        out[(dn != 0.0) & ~usable] = np.nan
+        rows = (dn != 0.0) & usable
+        if rows.any():
+            inner = lambda points: self._chain(chain[1:], grid, points)  # noqa: E731
+            out[rows] = fd_directional(inner, Y[rows], d[rows], eps[rows])
+        return out
 
     # -- series -------------------------------------------------------------
 
@@ -258,12 +231,7 @@ class ModifiedField:
             out = _CLEAN * max(1.0, y_norm(self.coefficient(1, U), self.model.q))
         else:
             alt = ModifiedField(
-                self.model,
-                self.tab,
-                self.m,
-                n_max=self.n_max,
-                eps0=self.eps0 * 1.37,
-                assume_order=self.assume_order,
+                self.model, self.tab, self.m, self.n_max, self.eps0 * 1.37, self.assume_order
             )
             out = y_norm(self.coefficient(j, U) - alt.coefficient(j, U), self.model.q)
         self._probe[j] = out
@@ -385,7 +353,7 @@ def modified_hamiltonian_terms(
 
     H^j(U) = int_0^1 <U - U0, J^{-1} f^j(U0 + t (U - U0))> dt with the model
     pairing, anchored at U0 (zero state by default), by Gauss-Legendre
-    quadrature in t.
+    quadrature in t; the nodes go through the recursion as one stack per j.
     """
     if mf is None:
         mf = ModifiedField(model, tab, m, n_max=max(N_MAX_DEFAULT, n))
@@ -393,12 +361,13 @@ def modified_hamiltonian_terms(
     u0 = anchor if anchor is not None else FourierState(um.grid, np.zeros_like(um.coeffs))
     diff = um - u0
     t, w = _quad_nodes(nodes)
+    points = u0.coeffs + t[:, np.newaxis, np.newaxis] * diff.coeffs
     out: dict[int, float] = {}
     for j in range(tab.order + 1, n + 1):
+        fj = mf.coefficients(j, um.grid, points)
         acc = 0.0
-        for ti, wi in zip(t, w):
-            point = u0 + ti * diff
-            acc += wi * model.pairing(diff, model.apply_J_inv(mf.coefficient(j, point)))
+        for fi, wi in zip(fj, w):
+            acc += wi * model.pairing(diff, model.apply_J_inv(FourierState(um.grid, fi)))
         out[j] = acc
     return out
 

@@ -16,6 +16,11 @@ the i-th series coefficient of the nonlinearity composed with the stage jet,
 evaluated through the same pseudospectral path as a plain force call.  The
 update coefficients follow from Psi_j = b^T (A W_{j-1} + [B(W)]_{j-1}).
 
+Both entry points also take stacks of states, shape (..., components, band)
+with leading batch axes: a jet takes one nonlinearity call per order for the
+whole stack, and a directional difference one field call on all 4N stencil
+points.  A single state runs the same arithmetic as a batch of one.
+
 Lie derivatives of vector fields are approximated by fourth-order central
 differences along the field direction; the step eps is tuned to the size of
 the state and direction and can be widened by callers differentiating fields
@@ -39,14 +44,17 @@ VectorFieldEval = Callable[[FourierState], FourierState]
 
 
 class HJet:
-    """Series of band states: coeffs has shape (order+1, components, band)."""
+    """Series of band states: coeffs has shape (order+1, ..., components, band).
+
+    The axes in between are batch axes; coefficient and evaluate need none.
+    """
 
     __slots__ = ("grid", "coeffs")
 
     def __init__(self, grid: FourierGrid, coeffs: np.ndarray):
         coeffs = np.asarray(coeffs, dtype=complex)
-        if coeffs.ndim != 3 or coeffs.shape[2] != grid.band_size:
-            raise ValueError("jet coefficients must have shape (order+1, c, band)")
+        if coeffs.ndim < 3 or coeffs.shape[-1] != grid.band_size:
+            raise ValueError("jet coefficients must have shape (order+1, ..., c, band)")
         self.grid = grid
         self.coeffs = coeffs
 
@@ -92,52 +100,60 @@ def jet_lift_nonlinearity(model: PdeModel, jet: HJet, m: float | None = None) ->
 def expand_step_map(
     model: PdeModel,
     tab: ButcherTableau,
-    U: FourierState,
+    U: FourierState | np.ndarray,
     m: float | None = None,
     order: int = 4,
+    grid: FourierGrid | None = None,
 ) -> HJet:
     """Exact h-jet of the step map Psi_m^h at U, to the requested order.
 
     Coefficient 0 is P_m U; coefficient j >= 1 is the j-th Taylor coefficient
-    g^j of the method map in the step size.  Orders above ORDER_CAP raise
-    OrderCapError (the stage recursion is exact but its cost and conditioning
-    grow with the order).
+    g^j of the method map in the step size; U may be a stack (..., c, band)
+    on grid.  Orders above ORDER_CAP raise OrderCapError (the stage recursion
+    is exact but its cost and conditioning grow with the order).
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     if order > ORDER_CAP:
         raise OrderCapError(f"jet order {order} exceeds the cap {ORDER_CAP}")
-    um = model.project(U, m) if m is not None else U
-    grid = um.grid
-    s, c = tab.stages, model.components
+    if isinstance(U, FourierState):
+        grid, U = U.grid, U.coeffs
+    um = model._masked(grid, U, m)
     blocks = model.a_blocks(grid)  # (band, c, c)
-
-    def apply_A_stack(stack: np.ndarray) -> np.ndarray:
-        # stack: (s, c, band) -> A applied componentwise per stage
-        return np.einsum("kij,sjk->sik", blocks, stack)
-
-    W = np.zeros((order + 1, s, c, grid.band_size), dtype=complex)
-    W[0] = np.repeat(um.coeffs[None], s, axis=0)
-    psi = np.zeros((order + 1, c, grid.band_size), dtype=complex)
-    psi[0] = um.coeffs
+    # stage coefficients W[j] of shape (..., s, c, band)
+    W = np.zeros((order + 1,) + um.shape[:-2] + (tab.stages,) + um.shape[-2:], dtype=complex)
+    W[0] = um[..., np.newaxis, :, :]
+    psi = np.zeros((order + 1,) + um.shape, dtype=complex)
+    psi[0] = um
     for j in range(1, order + 1):
-        rhs = apply_A_stack(W[j - 1])
-        for i in range(s):
-            rhs[i] = rhs[i] + model.force_series_coeffs(grid, W[:j, i], m)[j - 1]
-        W[j] = np.einsum("il,lck->ick", tab.a, rhs)
-        psi[j] = np.einsum("l,lck->ck", tab.b, rhs)
+        rhs = np.einsum("kij,...sjk->...sik", blocks, W[j - 1])
+        rhs = rhs + model.force_series_coeffs(grid, W[:j], m)[j - 1]
+        W[j] = np.einsum("il,...lck->...ick", tab.a, rhs)
+        psi[j] = np.einsum("l,...lck->...ck", tab.b, rhs)
     return HJet(grid, psi)
 
 
 def fd_directional(
-    F: VectorFieldEval, U: FourierState, direction: FourierState, eps: float
-) -> FourierState:
-    """Fourth-order central difference of F at U along a fixed direction."""
-    fp2 = F(U + 2.0 * eps * direction)
-    fp1 = F(U + eps * direction)
-    fm1 = F(U - eps * direction)
-    fm2 = F(U - 2.0 * eps * direction)
-    return (-1.0 * fp2 + 8.0 * fp1 + (-8.0) * fm1 + fm2) * (1.0 / (12.0 * eps))
+    F: Callable, U: FourierState | np.ndarray, direction, eps
+) -> FourierState | np.ndarray:
+    """Fourth-order central difference of F at U along a fixed direction.
+
+    For stacks U, direction (N, c, band) with steps eps (N,), F maps the 4N
+    stencil points, ordered +2 eps, +eps, -eps, -2 eps, in one call.
+    """
+    if isinstance(U, FourierState):
+        grid = U.grid
+        out = fd_directional(
+            lambda points: np.stack([F(FourierState(grid, p)).coeffs for p in points]),
+            U.coeffs[np.newaxis], direction.coeffs[np.newaxis], np.array([eps]),
+        )
+        return FourierState(grid, out[0])
+    e = np.asarray(eps, dtype=float)[:, np.newaxis, np.newaxis]
+    points = np.concatenate(
+        (U + (2.0 * e) * direction, U + e * direction, U - e * direction, U - (2.0 * e) * direction)
+    )
+    fp2, fp1, fm1, fm2 = np.reshape(F(points), (4,) + U.shape)
+    return (-1.0 * fp2 + 8.0 * fp1 + (-8.0) * fm1 + fm2) * (1.0 / (12.0 * e))
 
 
 def lie_derivative(

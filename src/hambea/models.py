@@ -269,10 +269,10 @@ class PdeModel:
     ) -> np.ndarray:
         """B composed with a truncated power series of states.
 
-        coeff_series has shape (order+1, components, band_size); entry j is the
-        j-th series coefficient.  Returns the series of B(P_m U(h)) restricted
-        to the band of radius m, using the same pseudospectral path as force
-        order by order.
+        coeff_series has shape (order+1, ..., components, band_size) with batch
+        axes after the series axis; entry j is the j-th series coefficient.
+        Returns the series of B(P_m U(h)) restricted to the band of radius m,
+        using the same pseudospectral path as force order by order.
         """
         raise NotImplementedError
 
@@ -361,11 +361,11 @@ class WaveModel(PdeModel):
         mask = band_mask(grid, m, self.q)
         cs = coeff_series * mask
         K = grid.n_modes
-        u_phys = grid.to_phys(cs[:, 0, :]).real.astype(complex)
+        u_phys = grid.to_phys(cs[..., 0, :]).real.astype(complex)
         force = -self.potential.derivative_series(u_phys)
         out = np.zeros_like(cs)
-        out[:, 1, :] = grid.to_coeffs(force)
-        out[:, 0, K] = cs[:, 1, K]
+        out[..., 1, :] = grid.to_coeffs(force)
+        out[..., 0, K] = cs[..., 1, K]
         return out * mask
 
     def hamiltonian(self, state: FourierState) -> float:
@@ -460,10 +460,10 @@ class NlsModel(_SchroedingerBase):
         cs = coeff_series * mask
         if self.lam == 0.0:
             return np.zeros_like(cs)
-        u = grid.to_phys(cs[:, 0, :])
+        u = grid.to_phys(cs[..., 0, :])
         mod2 = series_mul(u, np.conj(u))
         force = -1j * self.lam * series_mul(series_power(mod2, self.sigma), u)
-        out = grid.to_coeffs(force)[:, np.newaxis, :]
+        out = grid.to_coeffs(force)[..., np.newaxis, :]
         return out * mask
 
     def hamiltonian(self, state: FourierState) -> float:
@@ -522,17 +522,17 @@ class NonlocalNlsModel(_SchroedingerBase):
         mask = band_mask(grid, m, self.q)
         cs = coeff_series * mask
         order = cs.shape[0]
-        rho = np.einsum("acm,bcm->ab", cs, np.conj(cs))
+        rho = np.einsum("a...cm,b...cm->ab...", cs, np.conj(cs))
         rho_series = np.array(
             [sum(rho[a, j - a] for a in range(j + 1)) for j in range(order)]
         )
-        if rho_series[0].real < self.rho_min:
+        low = rho_series[0].real[rho_series[0].real < self.rho_min]
+        if low.size:
             raise DomainError(
-                f"total mass {rho_series[0].real:.3e} below the admissible floor "
-                f"{self.rho_min:.3e}"
+                f"total mass {low[0]:.3e} below the admissible floor {self.rho_min:.3e}"
             )
         inv = series_reciprocal(rho_series)
-        vprime = -series_mul(inv, inv)
+        vprime = -series_mul(inv, inv)[..., np.newaxis, np.newaxis]
         out = np.zeros_like(cs)
         for j in range(order):
             for a in range(j + 1):

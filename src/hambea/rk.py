@@ -39,6 +39,7 @@ from .spectral import (
     _mode_weights,
     band_mask,
     y_norm,
+    y_norms,
 )
 
 _LOG4_MINUS_1 = 2.0 * math.log(2.0) - 1.0
@@ -219,10 +220,8 @@ class Stepper:
         return u_coeffs[None, :, :] + self.h * mixed
 
     def _residual_norm(self, delta: np.ndarray, scale: float) -> float:
-        worst = 0.0
-        for i in range(delta.shape[0]):
-            worst = max(worst, y_norm(FourierState(self.grid, delta[i]), self.model.q))
-        return worst / scale
+        """Largest stage norm of delta relative to scale; NaN if any stage is NaN."""
+        return float(np.max(y_norms(self.grid, delta, self.model.q))) / scale
 
     # -- public ------------------------------------------------------------
 
@@ -244,6 +243,8 @@ class Stepper:
                 new = (1.0 - theta) * stages + theta * new
             res = self._residual_norm(new - stages, scale)
             stages = new
+            if not math.isfinite(res):
+                raise ConvergenceError("stage iteration produced a non-finite residual", res, it)
             if res <= self.config.tol:
                 return StageResult(self.grid, stages, it, res)
             if res <= floor or (res < 1e-9 and res > 0.5 * prev):
@@ -275,6 +276,8 @@ class Stepper:
         for it in range(1, self.config.max_iter + 1):
             r = residual_vec(z)
             res = float(np.linalg.norm(r)) / scale
+            if not math.isfinite(res):
+                raise ConvergenceError("Newton stage solve produced a non-finite residual", res, it)
             if res <= self.config.tol:
                 return StageResult(self.grid, unpack(z), it, res)
             jac = np.empty((dim, dim))

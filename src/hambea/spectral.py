@@ -219,6 +219,12 @@ def y_norm(state: FourierState, q: float) -> float:
     return gevrey_norm(state, GevreyIndex(0.0, 0.0, q))
 
 
+def y_norms(grid: FourierGrid, coeffs: np.ndarray, q: float) -> np.ndarray:
+    """y_norm of each state of a stack (..., c, band), summed in y_norm's order."""
+    w = _mode_weights(grid, coeffs.shape[-2], GevreyIndex(0.0, 0.0, q))
+    return np.sqrt(np.sum((w * np.abs(np.ascontiguousarray(coeffs))) ** 2, axis=(-2, -1)))
+
+
 def weighted_inner(a: FourierState, b: FourierState, idx: GevreyIndex) -> complex:
     """Hermitian inner product with squared Gevrey weights, <a, b>_{tau, ell}."""
     a._check_compatible(b)

@@ -6,6 +6,23 @@ import pytest
 from hambea import FourierState, make_model
 
 
+# model specs for the bitwise batch-versus-single-state tests
+MODEL_SPECS = {
+    "nls-cubic": ("nls", {"sigma": 1, "lam": 1.0}),
+    "nls-quintic": ("nls", {"sigma": 2, "lam": -0.5}),
+    "nls-free": ("nls", {"sigma": 1, "lam": 0.0}),
+    "wave-poly": ("wave", {"potential": {"kind": "poly", "coeffs": {"2": 0.5, "4": 0.25}}}),
+    "sine-gordon": ("wave", {"potential": {"kind": "sine_gordon", "gamma": 1.0}}),
+    "nonlocal-nls": ("nonlocal_nls", {}),
+}
+
+
+def same_bits(a, b):
+    """Bitwise array equality (tells -0.0 from 0.0, which array_equal does not)."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def fit_loglog_slope(xs, ys):
     """Least-squares slope of log(y) against log(x)."""
     return float(np.polyfit(np.log(np.asarray(xs)), np.log(np.asarray(ys)), 1)[0])

@@ -26,7 +26,7 @@ from hambea import (
     y_norm,
 )
 
-from conftest import fit_loglog_slope, random_state
+from conftest import MODEL_SPECS, fit_loglog_slope, random_state, same_bits
 
 
 # -- modified-field coefficients ----------------------------------------------
@@ -81,11 +81,23 @@ def test_assumed_coefficients_are_exactly_zero(nls, rng):
         assert np.max(np.abs(mf.coefficient(j, s).coeffs)) == 0.0
 
 
-def test_coefficient_memoization(nls, rng):
+def test_coefficient_repeatable_without_per_state_storage(nls, rng):
+    # repeated calls give the same bytes, and an instance stores nothing per
+    # state: after a first call, no attribute grows with further calls
     grid = nls.make_grid(3)
     s = random_state(grid, 1, rng)
     mf = ModifiedField(nls, make_tableau("midpoint"))
-    assert mf.coefficient(3, s) is mf.coefficient(3, s)
+    first = mf.coefficient(5, s)
+    assert same_bits(mf.coefficient(5, s).coeffs, first.coeffs)
+
+    def sizes():
+        return {k: len(v) if hasattr(v, "__len__") else v for k, v in vars(mf).items()}
+
+    before = sizes()
+    for _ in range(4):
+        mf.coefficient(5, random_state(grid, 1, rng))
+    mf.coefficients(5, grid, np.stack([random_state(grid, 1, rng).coeffs for _ in range(3)]))
+    assert sizes() == before
 
 
 def test_coefficient_argument_guards(nls, rng):
@@ -108,6 +120,45 @@ def test_nan_input_returns_nan(nls):
     mf = ModifiedField(nls, make_tableau("midpoint"))
     out = mf.coefficient(3, bad)
     assert np.all(np.isnan(out.coeffs))
+
+
+_COEFF_CASES = [
+    ("nls-cubic", None),
+    ("nls-cubic", 4.0),
+    ("nls-quintic", None),
+    ("nls-quintic", 4.0),
+    ("wave-poly", None),
+    ("sine-gordon", None),
+    ("nonlocal-nls", None),
+]
+
+
+@pytest.mark.parametrize("tab_name", ["midpoint", "gauss2", "gauss3"])
+@pytest.mark.parametrize("key,m", _COEFF_CASES)
+def test_batched_coefficients_match_single_states(key, m, tab_name, rng):
+    # a stack of five states, one of them zero (vanishing direction) and one
+    # non-finite, gives the bytes of five single-state evaluations
+    model = make_model(*MODEL_SPECS[key])
+    grid = model.make_grid(3)
+    rows = [
+        random_state(grid, model.components, rng, real_field=model.is_real_field).coeffs
+        for _ in range(4)
+    ]
+    if model.name != "nonlocal_nls":  # zero mass is outside its domain
+        rows[2] = np.zeros_like(rows[2])
+    rows[3] = rows[3].copy()
+    rows[3][0, 1] = np.nan
+    rows[3][0, 2] = np.inf
+    Y = np.stack(rows + [0.5 * rows[0]])
+    for assume_order in (True, False):
+        mf = ModifiedField(model, make_tableau(tab_name), m, n_max=5, assume_order=assume_order)
+        for j in range(1, 6):
+            # the non-finite row is never evaluated, so nothing overflows
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                got = mf.coefficients(j, grid, Y)
+            want = np.stack([mf.coefficient(j, FourierState(grid, y)).coeffs for y in Y])
+            assert same_bits(got, want), (assume_order, j)
+            assert np.all(np.isnan(got[3]))
 
 
 def test_noise_bookkeeping(nls, rng):

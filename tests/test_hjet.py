@@ -18,7 +18,7 @@ from hambea import (
     y_norm,
 )
 
-from conftest import fit_loglog_slope, random_state
+from conftest import MODEL_SPECS, fit_loglog_slope, random_state, same_bits
 
 
 # -- series container ---------------------------------------------------------
@@ -68,6 +68,7 @@ def test_jet_shape_guard(nls):
         HJet(grid, np.zeros((3, 7)))  # missing component axis
     with pytest.raises(ValueError):
         HJet(grid, np.zeros((3, 1, 6)))  # wrong band size
+    assert HJet(grid, np.zeros((3, 4, 1, 7))).order == 2  # batch axes pass
 
 
 # -- nonlinearity lift --------------------------------------------------------
@@ -167,6 +168,40 @@ def test_jet_step_consistency_wave(wave_cubic, rng):
         for h in hs
     ]
     assert fit_loglog_slope(hs, errs) >= 3.8
+
+
+@pytest.mark.parametrize("tab_name", ["midpoint", "gauss2", "gauss3"])
+@pytest.mark.parametrize("m", [None, 4.0])
+@pytest.mark.parametrize("key", list(MODEL_SPECS))
+def test_batched_jet_matches_per_state(key, m, tab_name, rng):
+    model = make_model(*MODEL_SPECS[key])
+    grid = model.make_grid(4)
+    tab = make_tableau(tab_name)
+    Y = np.stack(
+        [
+            random_state(grid, model.components, rng, real_field=model.is_real_field).coeffs
+            for _ in range(6)
+        ]
+    ).reshape((2, 3, model.components, grid.band_size))
+    jet = expand_step_map(model, tab, Y, m, order=4, grid=grid)
+    assert jet.order == 4 and jet.coeffs.shape == (5,) + Y.shape
+    for i in np.ndindex(2, 3):
+        single = expand_step_map(model, tab, FourierState(grid, Y[i]), m, order=4)
+        assert same_bits(jet.coeffs[(slice(None),) + i], single.coeffs)
+
+
+@pytest.mark.parametrize("tab_name", ["midpoint", "gauss2"])
+@pytest.mark.parametrize("key", list(MODEL_SPECS))
+def test_jet_coefficient_independent_of_order(key, tab_name, rng):
+    # coefficient j of a longer jet has the bytes of the order-j jet's, so a
+    # coefficient never depends on which jet order happened to be computed
+    model = make_model(*MODEL_SPECS[key])
+    grid = model.make_grid(4)
+    s = random_state(grid, model.components, rng, real_field=model.is_real_field)
+    tab = make_tableau(tab_name)
+    long = expand_step_map(model, tab, s, 4.0, order=5)
+    for j in range(1, 6):
+        assert same_bits(long.coeffs[j], expand_step_map(model, tab, s, 4.0, order=j).coeffs[j])
 
 
 def test_order_cap(nls, rng):

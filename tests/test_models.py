@@ -20,7 +20,7 @@ from hambea.models import (
 )
 from hambea.spectral import GevreyIndex, _mode_weights, band_mask, symmetrize_real
 
-from conftest import random_state
+from conftest import MODEL_SPECS, random_state, same_bits
 
 
 # -- metadata and linear part -------------------------------------------------
@@ -317,26 +317,11 @@ def test_measure_force_scale(nls, rng):
 
 # -- batched force, chart index maps and shared caches --------------------------
 
-_FORCE_MODELS = {
-    "nls-cubic": ("nls", {"sigma": 1, "lam": 1.0}),
-    "nls-quintic": ("nls", {"sigma": 2, "lam": -0.5}),
-    "nls-free": ("nls", {"sigma": 1, "lam": 0.0}),
-    "wave-poly": ("wave", {"potential": {"kind": "poly", "coeffs": {"2": 0.5, "4": 0.25}}}),
-    "sine-gordon": ("wave", {"potential": {"kind": "sine_gordon", "gamma": 1.0}}),
-    "nonlocal-nls": ("nonlocal_nls", {}),
-}
-
-
-def _same_bits(a, b):
-    """Bitwise array equality (tells -0.0 from 0.0, which array_equal does not)."""
-    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
 
 @pytest.mark.parametrize("m", [None, 4.0])
-@pytest.mark.parametrize("key", list(_FORCE_MODELS))
+@pytest.mark.parametrize("key", list(MODEL_SPECS))
 def test_batched_force_matches_per_state_apply_B(key, m, rng):
-    model = make_model(*_FORCE_MODELS[key])
+    model = make_model(*MODEL_SPECS[key])
     grid = model.make_grid(6)
     states = [
         random_state(grid, model.components, rng, real_field=model.is_real_field)
@@ -347,7 +332,7 @@ def test_batched_force_matches_per_state_apply_B(key, m, rng):
     # the stepper hands over a strided (stages, c, band) view of a (band, s*c) array
     strided = np.ascontiguousarray(stack.transpose(2, 0, 1)).transpose(1, 2, 0)
     for batch in (stack, strided):
-        assert _same_bits(model.force(grid, batch, m), want)
+        assert same_bits(model.force(grid, batch, m), want)
 
 
 def _reference_chart(model, grid, m):
@@ -396,19 +381,19 @@ def _reference_from_real(dofs, scales, folded, grid, components, z):
 @pytest.mark.parametrize("m", [None, 4.0])
 @pytest.mark.parametrize("key", ["nls-cubic", "wave-poly"])
 def test_chart_matches_per_dof_reference(key, m, rng):
-    model = make_model(*_FORCE_MODELS[key])
+    model = make_model(*MODEL_SPECS[key])
     grid = model.make_grid(5)
     chart = model.chart(grid, m)
     dofs, scales, folded = _reference_chart(model, grid, m)
-    assert chart.dim == len(dofs) and _same_bits(chart.scales, scales)
+    assert chart.dim == len(dofs) and same_bits(chart.scales, scales)
     for _ in range(3):
         state = random_state(grid, model.components, rng, real_field=folded)
         z = _reference_to_real(dofs, scales, grid, state)
-        assert _same_bits(chart.to_real(state), z)
+        assert same_bits(chart.to_real(state), z)
         z = z * rng.choice([-1.0, 1.0], size=z.size)  # exercise signed zeros too
         z[::4] = -0.0
         want = _reference_from_real(dofs, scales, folded, grid, model.components, z)
-        assert _same_bits(chart.from_real(z).coeffs, want)
+        assert same_bits(chart.from_real(z).coeffs, want)
 
 
 def test_shared_caches_are_read_only(nls, wave_cubic):

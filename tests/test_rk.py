@@ -204,6 +204,40 @@ def test_newton_matches_fixed_point(nls, rng):
     assert y_norm(a - b, nls.q) < 1e-11
 
 
+def test_non_finite_stages_raise(nls):
+    # a state far outside the contraction regime blows the stage iterate up;
+    # the NaN stage must not read as a zero residual and pass as converged
+    grid = nls.make_grid(8)
+    rng = np.random.default_rng(0)
+    shape = (1, grid.band_size)
+    U = FourierState(grid, 30.0 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)))
+    with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="non-finite"):
+        Stepper(nls, grid, make_tableau("gauss2"), 0.5).solve_stages(U)
+    bad = U.copy()
+    bad.set_mode(0, complex(np.nan, 0.0))
+    newton = StageSolveConfig(scheme="newton_on_modes")
+    with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="non-finite"):
+        Stepper(nls, grid, make_tableau("gauss2"), 0.05, config=newton).solve_stages(bad)
+
+
+@pytest.mark.parametrize("tab_name", ["midpoint", "gauss2", "gauss3"])
+def test_residual_norm_matches_per_stage_norms(nls, wave_cubic, tab_name, rng):
+    # one reduction over the stepper's strided stage stack gives the bits of
+    # the largest per-stage y_norm
+    for model in (nls, wave_cubic):
+        for K in (8, 16, 32, 64):
+            grid = model.make_grid(K)
+            st = Stepper(model, grid, make_tableau(tab_name), 0.05)
+            u = random_state(grid, model.components, rng, scale=1.0, decay=0.2,
+                             real_field=model.is_real_field)
+            stages = st._apply_resolvent(np.repeat(u.coeffs[None], st.tab.stages, axis=0))
+            for _ in range(4):
+                new = st._apply_resolvent(st._rhs(u.coeffs, st._force_stack(stages)))
+                delta, stages = new - stages, new
+                want = max(y_norm(FourierState(grid, d), model.q) for d in delta)
+                assert st._residual_norm(delta, 1.0) == want
+
+
 def test_band_invariance(nls, rng):
     # output coefficients vanish outside the projection ball, exactly
     grid = nls.make_grid(6)
