@@ -134,7 +134,10 @@ def expand_step_map(
 
 
 def fd_directional(
-    F: Callable, U: FourierState | np.ndarray, direction, eps
+    F: Callable,
+    U: FourierState | np.ndarray,
+    direction: FourierState | np.ndarray,
+    eps: float | np.ndarray,
 ) -> FourierState | np.ndarray:
     """Fourth-order central difference of F at U along a fixed direction.
 
