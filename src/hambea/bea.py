@@ -231,7 +231,12 @@ class ModifiedField:
             out = _CLEAN * max(1.0, y_norm(self.coefficient(1, U), self.model.q))
         else:
             alt = ModifiedField(
-                self.model, self.tab, self.m, self.n_max, self.eps0 * 1.37, self.assume_order
+                self.model,
+                self.tab,
+                self.m,
+                n_max=self.n_max,
+                eps0=self.eps0 * 1.37,
+                assume_order=self.assume_order,
             )
             out = y_norm(self.coefficient(j, U) - alt.coefficient(j, U), self.model.q)
         self._probe[j] = out

@@ -219,10 +219,6 @@ class Stepper:
         mixed = np.einsum("ij,jcm->icm", self.tab.a, force)
         return u_coeffs[None, :, :] + self.h * mixed
 
-    def _residual_norm(self, delta: np.ndarray, scale: float) -> float:
-        """Largest stage norm of delta relative to scale; NaN if any stage is NaN."""
-        return float(np.max(y_norms(self.grid, delta, self.model.q))) / scale
-
     # -- public ------------------------------------------------------------
 
     def solve_stages(self, U: FourierState) -> StageResult:
@@ -241,7 +237,8 @@ class Stepper:
             new = self._apply_resolvent(self._rhs(um.coeffs, force))
             if theta != 1.0:
                 new = (1.0 - theta) * stages + theta * new
-            res = self._residual_norm(new - stages, scale)
+            # largest stage norm of the update; NaN if any stage is NaN
+            res = float(np.max(y_norms(self.grid, new - stages, self.model.q))) / scale
             stages = new
             if not math.isfinite(res):
                 raise ConvergenceError("stage iteration produced a non-finite residual", res, it)
