@@ -9,7 +9,6 @@ from .bea import (
     ResolvedPolicy,
     TruncationPolicy,
     gradient_consistency,
-    modified_field_coefficient,
     modified_flow,
     modified_hamiltonian_eval,
     modified_hamiltonian_terms,
@@ -27,8 +26,6 @@ from .hjet import (
     HJet,
     expand_step_map,
     fd_directional,
-    jet_lift_nonlinearity,
-    lie_derivative,
 )
 from .models import (
     NlsModel,
@@ -48,9 +45,7 @@ from .rk import (
     Stepper,
     gauss_legendre,
     make_tableau,
-    solve_stages,
     stability_function,
-    step,
     symplecticity_residual,
 )
 from .spectral import (
@@ -97,12 +92,9 @@ __all__ = [
     "gauss_legendre",
     "gevrey_norm",
     "gradient_consistency",
-    "jet_lift_nonlinearity",
-    "lie_derivative",
     "make_model",
     "make_tableau",
     "mode_eigenvalues",
-    "modified_field_coefficient",
     "modified_flow",
     "modified_hamiltonian_eval",
     "modified_hamiltonian_terms",
@@ -110,9 +102,7 @@ __all__ = [
     "project",
     "reference_flow",
     "resolve_policy",
-    "solve_stages",
     "stability_function",
-    "step",
     "symplecticity_residual",
     "tail_bound_check",
     "y_norm",

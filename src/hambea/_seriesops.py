@@ -44,7 +44,8 @@ def series_reciprocal(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _series_sincos(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def series_sin(a: np.ndarray) -> np.ndarray:
+    """sin a(h), from the coupled recurrences of sin and cos (s' = c a', c' = -s a')."""
     a = np.asarray(a, dtype=complex)
     s = np.zeros_like(a)
     c = np.zeros_like(a)
@@ -58,12 +59,4 @@ def _series_sincos(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             cc = cc + i * a[i] * s[j - i]
         s[j] = ss / j
         c[j] = -cc / j
-    return s, c
-
-
-def series_sin(a: np.ndarray) -> np.ndarray:
-    return _series_sincos(a)[0]
-
-
-def series_cos(a: np.ndarray) -> np.ndarray:
-    return _series_sincos(a)[1]
+    return s

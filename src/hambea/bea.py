@@ -38,7 +38,6 @@ the leftover drift of H-tilde decays faster than any power of h.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -250,44 +249,6 @@ class ModifiedField:
         return out
 
 
-# ---------------------------------------------------------------------------
-# functional facade
-
-
-def modified_field_coefficient(
-    model: PdeModel,
-    tab: ButcherTableau,
-    j: int,
-    U: FourierState,
-    m: float | None = None,
-    n_max: int = N_MAX_DEFAULT,
-    eps0: float = 3e-4,
-    assume_order: bool = False,
-    return_noise: bool = False,
-):
-    """One coefficient f^j(U) in a fresh evaluation context.
-
-    Defaults to the raw recursion (assume_order=False) so that the vanishing
-    of f^2..f^p can be observed rather than imposed.  With return_noise=True
-    also returns the propagated relative-noise estimate; a warning is issued
-    when the estimate exceeds 10% of the result's own norm.
-    """
-    mf = ModifiedField(model, tab, m, n_max=max(n_max, j), eps0=eps0, assume_order=assume_order)
-    out = mf.coefficient(j, U)
-    noise = mf.field_noise(j)
-    scale = y_norm(mf.coefficient(1, U), model.q)
-    res_norm = y_norm(out, model.q)
-    if res_norm > 0.0 and noise * scale > 0.1 * res_norm:
-        warnings.warn(
-            f"modified-field coefficient f^{j} is noise-dominated "
-            f"(estimate {noise:.1e} of the base field scale)",
-            stacklevel=2,
-        )
-    if return_noise:
-        return out, noise
-    return out
-
-
 def modified_flow(
     model: PdeModel,
     tab: ButcherTableau,
@@ -387,32 +348,12 @@ def modified_hamiltonian_eval(
     anchor: FourierState | None = None,
     nodes: int = 16,
     mf: ModifiedField | None = None,
-    verify_quadrature: bool = False,
-    quad_check_tol: float = 1e-10,
 ) -> float:
-    """Modified energy H-tilde(U; h) = H(P_m U) + sum_{j=p}^{n-1} h^j H^{j+1}(U).
-
-    verify_quadrature re-evaluates the line integrals with half again as many
-    nodes and warns when the relative difference exceeds quad_check_tol.
-    """
+    """Modified energy H-tilde(U; h) = H(P_m U) + sum_{j=p}^{n-1} h^j H^{j+1}(U)."""
     um = model.project(U, m) if m is not None else U
     base = model.hamiltonian(um)
     terms = modified_hamiltonian_terms(model, tab, U, n, m, anchor, nodes, mf)
-    value = base + sum(h ** (j - 1) * hj for j, hj in terms.items())
-    if verify_quadrature and terms:
-        finer = modified_hamiltonian_terms(
-            model, tab, U, n, m, anchor, nodes + nodes // 2, mf
-        )
-        corr = sum(h ** (j - 1) * hj for j, hj in terms.items())
-        corr_f = sum(h ** (j - 1) * hj for j, hj in finer.items())
-        denom = max(abs(corr), abs(corr_f), 1e-300)
-        if abs(corr - corr_f) / denom > quad_check_tol and abs(corr_f) > 1e-14 * abs(base):
-            warnings.warn(
-                f"energy quadrature difference {abs(corr - corr_f) / denom:.2e} "
-                f"between {nodes} and {nodes + nodes // 2} nodes",
-                stacklevel=2,
-            )
-    return value
+    return base + sum(h ** (j - 1) * hj for j, hj in terms.items())
 
 
 def gradient_consistency(

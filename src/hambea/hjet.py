@@ -16,15 +16,12 @@ the i-th series coefficient of the nonlinearity composed with the stage jet,
 evaluated through the same pseudospectral path as a plain force call.  The
 update coefficients follow from Psi_j = b^T (A W_{j-1} + [B(W)]_{j-1}).
 
-Both entry points also take stacks of states, shape (..., components, band)
-with leading batch axes: a jet takes one nonlinearity call per order for the
-whole stack, and a directional difference one field call on all 4N stencil
-points.  A single state runs the same arithmetic as a batch of one.
-
-Lie derivatives of vector fields are approximated by fourth-order central
-differences along the field direction; the step eps is tuned to the size of
-the state and direction and can be widened by callers differentiating fields
-that are themselves noisy.
+``expand_step_map`` also takes stacks of states, shape (..., components,
+band) with leading batch axes, and makes one nonlinearity call per order for
+the whole stack; a single state runs the same arithmetic as a batch of one.
+``fd_directional``, the fourth-order directional difference behind the
+modified-field recursion, works on stacks of N states only and makes one
+field call on all 4N stencil points.
 """
 
 from __future__ import annotations
@@ -36,11 +33,9 @@ import numpy as np
 from .errors import OrderCapError
 from .models import PdeModel
 from .rk import ButcherTableau
-from .spectral import FourierGrid, FourierState, project, y_norm
+from .spectral import FourierGrid, FourierState
 
 ORDER_CAP = 12
-
-VectorFieldEval = Callable[[FourierState], FourierState]
 
 
 class HJet:
@@ -58,12 +53,6 @@ class HJet:
         self.grid = grid
         self.coeffs = coeffs
 
-    @classmethod
-    def constant(cls, U: FourierState, order: int) -> "HJet":
-        coeffs = np.zeros((order + 1,) + U.coeffs.shape, dtype=complex)
-        coeffs[0] = U.coeffs
-        return cls(U.grid, coeffs)
-
     @property
     def order(self) -> int:
         return self.coeffs.shape[0] - 1
@@ -71,30 +60,12 @@ class HJet:
     def coefficient(self, j: int) -> FourierState:
         return FourierState(self.grid, self.coeffs[j].copy())
 
-    def truncate(self, order: int) -> "HJet":
-        return HJet(self.grid, self.coeffs[: order + 1].copy())
-
     def evaluate(self, h: float) -> FourierState:
         """Horner evaluation of the series at step size h."""
         acc = self.coeffs[-1].copy()
         for j in range(self.order - 1, -1, -1):
             acc = acc * h + self.coeffs[j]
         return FourierState(self.grid, acc)
-
-    def __add__(self, other: "HJet") -> "HJet":
-        if self.grid != other.grid or self.order != other.order:
-            raise ValueError("jet mismatch")
-        return HJet(self.grid, self.coeffs + other.coeffs)
-
-    def __mul__(self, scalar: complex) -> "HJet":
-        return HJet(self.grid, self.coeffs * scalar)
-
-    __rmul__ = __mul__
-
-
-def jet_lift_nonlinearity(model: PdeModel, jet: HJet, m: float | None = None) -> HJet:
-    """Series of B(P_m U(h)) for a state jet U(h), order-matched to the input."""
-    return HJet(jet.grid, model.force_series_coeffs(jet.grid, jet.coeffs, m))
 
 
 def expand_step_map(
@@ -134,51 +105,19 @@ def expand_step_map(
 
 
 def fd_directional(
-    F: Callable,
-    U: FourierState | np.ndarray,
-    direction: FourierState | np.ndarray,
-    eps: float | np.ndarray,
-) -> FourierState | np.ndarray:
-    """Fourth-order central difference of F at U along a fixed direction.
+    F: Callable[[np.ndarray], np.ndarray],
+    U: np.ndarray,
+    direction: np.ndarray,
+    eps: np.ndarray,
+) -> np.ndarray:
+    """Fourth-order central difference of F at each state of U along direction.
 
     For stacks U, direction (N, c, band) with steps eps (N,), F maps the 4N
     stencil points, ordered +2 eps, +eps, -eps, -2 eps, in one call.
     """
-    if isinstance(U, FourierState):
-        grid = U.grid
-        out = fd_directional(
-            lambda points: np.stack([F(FourierState(grid, p)).coeffs for p in points]),
-            U.coeffs[np.newaxis], direction.coeffs[np.newaxis], np.array([eps]),
-        )
-        return FourierState(grid, out[0])
     e = np.asarray(eps, dtype=float)[:, np.newaxis, np.newaxis]
     points = np.concatenate(
         (U + (2.0 * e) * direction, U + e * direction, U - e * direction, U - (2.0 * e) * direction)
     )
     fp2, fp1, fm1, fm2 = np.reshape(F(points), (4,) + U.shape)
     return (-1.0 * fp2 + 8.0 * fp1 + (-8.0) * fm1 + fm2) * (1.0 / (12.0 * e))
-
-
-def lie_derivative(
-    F: VectorFieldEval,
-    G: VectorFieldEval,
-    U: FourierState,
-    m: float | None = None,
-    q: float = 1.0,
-    eps0: float = 1e-5,
-) -> FourierState:
-    """(D F . G)(U) = DF(U) G(U) by fourth-order central differences.
-
-    The step is eps = eps0 (1 + ||U||) / (1 + ||G(U)||) in the energy norm of
-    exponent q.  A zero direction short-circuits to the zero state.  Callers
-    differentiating fields that carry their own evaluation noise should widen
-    eps0 accordingly.
-    """
-    d = G(U)
-    if m is not None:
-        d = project(d, m, q)
-    dn = y_norm(d, q)
-    if dn == 0.0:
-        return FourierState(U.grid, np.zeros_like(U.coeffs))
-    eps = eps0 * (1.0 + y_norm(U, q)) / (1.0 + dn)
-    return fd_directional(F, U, d, eps)

@@ -40,7 +40,6 @@ use a fixed generous padding instead.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,9 +65,6 @@ from .spectral import (
     weighted_inner,
     y_norm,
 )
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
 
 # ---------------------------------------------------------------------------
 # wave potentials
@@ -233,9 +229,6 @@ class PdeModel:
 
     def project(self, state: FourierState, m: float | None) -> FourierState:
         return project(state, m, self.q)
-
-    def gevrey_index(self, tau: float, ell: float) -> GevreyIndex:
-        return GevreyIndex(tau, ell, self.q)
 
     # -- linear part ----------------------------------------------------
 
@@ -582,26 +575,19 @@ def make_model(name: str, params: dict | None = None) -> PdeModel:
 # structure diagnostics
 
 
-def _fd_gradient(func, chart: RealChart, z0: np.ndarray, eps: float) -> np.ndarray:
-    """Fourth-order central gradient of a scalar function of chart coordinates."""
-    g = np.empty(chart.dim)
-    for i in range(chart.dim):
-        e = np.zeros(chart.dim)
-        e[i] = 1.0
-        f = lambda t: func(chart.from_real(z0 + t * e))
-        g[i] = (-f(2 * eps) + 8 * f(eps) - 8 * f(-eps) + f(-2 * eps)) / (12 * eps)
-    return g
-
-
 def fd_jacobian(func, chart: RealChart, U: FourierState, eps0: float = 1e-5) -> np.ndarray:
-    """Fourth-order central Jacobian of a state map in chart coordinates."""
+    """Fourth-order central Jacobian in chart coordinates of a map from states to real vectors.
+
+    A state map passes its output through chart.to_real; a scalar function
+    returns a length-1 array and gets its gradient as the single row.
+    """
     z0 = chart.to_real(U)
     eps = eps0 * (1.0 + float(np.linalg.norm(z0)))
     cols = []
     for i in range(chart.dim):
         e = np.zeros(chart.dim)
         e[i] = 1.0
-        fv = lambda t: chart.to_real(func(chart.from_real(z0 + t * e)))
+        fv = lambda t: func(chart.from_real(z0 + t * e))
         cols.append((-fv(2 * eps) + 8 * fv(eps) - 8 * fv(-eps) + fv(-2 * eps)) / (12 * eps))
     return np.column_stack(cols)
 
@@ -616,7 +602,7 @@ def check_h2_selfadjoint(
     differences and returns max|S - S^T| / max(1, max|S|).
     """
     chart = model.chart(U.grid, m)
-    db = fd_jacobian(lambda s: model.apply_B(s, m), chart, U, eps0)
+    db = fd_jacobian(lambda s: chart.to_real(model.apply_B(s, m)), chart, U, eps0)
     s = chart.symplectic_matrix() @ db
     return float(np.max(np.abs(s - s.T)) / max(1.0, np.max(np.abs(s))))
 
@@ -632,9 +618,7 @@ def grad_H_consistency(
     """
     um = model.project(U, m) if m is not None else U
     chart = model.chart(U.grid, m)
-    z0 = chart.to_real(um)
-    h_eps = eps * (1.0 + float(np.linalg.norm(z0)))
-    grad = _fd_gradient(model.hamiltonian, chart, z0, h_eps)
+    grad = fd_jacobian(lambda s: np.array([model.hamiltonian(s)]), chart, um, eps)[0]
     field = model.apply_A(um) + model.apply_B(um, m)
     lhs = chart.to_real(model.apply_J_inv(field))
     return float(np.linalg.norm(lhs - grad) / max(1.0, np.linalg.norm(grad)))

@@ -134,13 +134,10 @@ class StageSolveConfig:
     scheme: str = "fixed_point"  # or "newton_on_modes"
     tol: float = 1e-12
     max_iter: int = 100
-    damping: float = 1.0
 
     def __post_init__(self) -> None:
         if self.scheme not in ("fixed_point", "newton_on_modes"):
             raise ValueError(f"unknown stage solve scheme {self.scheme!r}")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -151,10 +148,6 @@ class StageResult:
     stages: np.ndarray  # (s, components, band)
     iterations: int
     residual: float
-
-    @property
-    def states(self) -> list[FourierState]:
-        return [FourierState(self.grid, self.stages[i]) for i in range(len(self.stages))]
 
 
 class Stepper:
@@ -229,14 +222,11 @@ class Stepper:
             return StageResult(self.grid, stages, 1, 0.0)
         if self.config.scheme == "newton_on_modes":
             return self._solve_newton(um, stages, scale)
-        theta = self.config.damping
         floor = 50.0 * np.finfo(float).eps
         prev = math.inf
         for it in range(1, self.config.max_iter + 1):
             force = self._force_stack(stages)
             new = self._apply_resolvent(self._rhs(um.coeffs, force))
-            if theta != 1.0:
-                new = (1.0 - theta) * stages + theta * new
             # largest stage norm of the update; NaN if any stage is NaN
             res = float(np.max(y_norms(self.grid, new - stages, self.model.q))) / scale
             stages = new
@@ -298,28 +288,6 @@ class Stepper:
         return FourierState(self.grid, lin + corr)
 
 
-def solve_stages(
-    model: PdeModel,
-    tab: ButcherTableau,
-    U: FourierState,
-    h: float,
-    m: float | None = None,
-    config: StageSolveConfig | None = None,
-) -> StageResult:
-    return Stepper(model, U.grid, tab, h, m, config).solve_stages(U)
-
-
-def step(
-    model: PdeModel,
-    tab: ButcherTableau,
-    U: FourierState,
-    h: float,
-    m: float | None = None,
-    config: StageSolveConfig | None = None,
-) -> FourierState:
-    return Stepper(model, U.grid, tab, h, m, config).step(U)
-
-
 def linear_operator_bounds(
     model: PdeModel,
     tab: ButcherTableau,
@@ -374,7 +342,7 @@ def symplecticity_residual(
         cols = [chart.to_real(stepper.step(chart.basis_state(i))) for i in range(chart.dim)]
         jac = np.column_stack(cols)
     elif jacobian == "fd":
-        jac = fd_jacobian(stepper.step, chart, U, eps0)
+        jac = fd_jacobian(lambda s: chart.to_real(stepper.step(s)), chart, U, eps0)
     else:
         raise ValueError(f"unknown jacobian mode {jacobian!r}")
     omega = chart.symplectic_matrix()

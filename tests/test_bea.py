@@ -1,7 +1,6 @@
 """Modified-field recursion, modified energies, and truncation policies."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -12,17 +11,16 @@ from hambea import (
     OrderCapError,
     ResolvedPolicy,
     StageSolveConfig,
+    Stepper,
     TruncationPolicy,
     gradient_consistency,
     make_model,
     make_tableau,
-    modified_field_coefficient,
     modified_flow,
     modified_hamiltonian_eval,
     modified_hamiltonian_terms,
     reference_flow,
     resolve_policy,
-    step,
     y_norm,
 )
 
@@ -35,7 +33,7 @@ from conftest import MODEL_SPECS, fit_loglog_slope, random_state, same_bits
 def test_first_coefficient_is_the_field(nls, rng):
     grid = nls.make_grid(4)
     s = random_state(grid, 1, rng)
-    f1 = modified_field_coefficient(nls, make_tableau("midpoint"), 1, s)
+    f1 = ModifiedField(nls, make_tableau("midpoint")).coefficient(1, s)
     want = nls.apply_A(s) + nls.apply_B(s)
     assert y_norm(f1 - want, nls.q) < 1e-13
 
@@ -43,7 +41,7 @@ def test_first_coefficient_is_the_field(nls, rng):
 def test_first_coefficient_band_limited(nls, rng):
     grid = nls.make_grid(6)
     s = random_state(grid, 1, rng)
-    f1 = modified_field_coefficient(nls, make_tableau("midpoint"), 1, s, m=9.0)
+    f1 = ModifiedField(nls, make_tableau("midpoint"), m=9.0).coefficient(1, s)
     for k in (-6, -5, -4, 4, 5, 6):
         assert f1.mode(k) == 0.0
 
@@ -54,9 +52,9 @@ def test_second_coefficient_vanishes_raw(nls, rng):
     grid = nls.make_grid(3)
     s = random_state(grid, 1, rng)
     tab = make_tableau("midpoint")
-    scale = y_norm(modified_field_coefficient(nls, tab, 1, s), nls.q)
-    with pytest.warns(UserWarning, match="noise-dominated"):
-        f2 = modified_field_coefficient(nls, tab, 2, s, assume_order=False)
+    raw = ModifiedField(nls, tab, assume_order=False)
+    scale = y_norm(raw.coefficient(1, s), nls.q)
+    f2 = raw.coefficient(2, s)
     assert y_norm(f2, nls.q) < 1e-8 * scale
 
 
@@ -66,10 +64,9 @@ def test_fourth_coefficient_vanishes_symmetric(nls, rng):
     grid = nls.make_grid(3)
     s = random_state(grid, 1, rng)
     tab = make_tableau("midpoint")
-    scale = y_norm(modified_field_coefficient(nls, tab, 1, s), nls.q)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        f4 = modified_field_coefficient(nls, tab, 4, s, assume_order=True)
+    mf = ModifiedField(nls, tab, assume_order=True)
+    scale = y_norm(mf.coefficient(1, s), nls.q)
+    f4 = mf.coefficient(4, s)
     assert y_norm(f4, nls.q) < 1e-6 * scale
 
 
@@ -211,7 +208,11 @@ def test_flow_step_deviation_order_n1(nls, rng):
     mf = ModifiedField(nls, tab)
     hs = [0.08, 0.04, 0.02]
     errs = [
-        y_norm(step(nls, tab, s, h, config=cfg) - modified_flow(nls, tab, s, h, 1, mf=mf), nls.q)
+        y_norm(
+            Stepper(nls, grid, tab, h, config=cfg).step(s)
+            - modified_flow(nls, tab, s, h, 1, mf=mf),
+            nls.q,
+        )
         for h in hs
     ]
     assert fit_loglog_slope(hs, errs) >= 2.7
@@ -228,7 +229,7 @@ def test_flow_step_deviation_order_n3(wave_cubic, rng):
     hs = [0.1, 0.0707, 0.05]
     errs = [
         y_norm(
-            step(wave_cubic, tab, s, h, config=cfg)
+            Stepper(wave_cubic, grid, tab, h, config=cfg).step(s)
             - modified_flow(wave_cubic, tab, s, h, 3, mf=mf),
             1.0,
         )
@@ -286,9 +287,10 @@ def test_modified_energy_drifts_less(nls, rng):
     mf = ModifiedField(nls, tab)
     h = 0.05
     states = [s]
+    stepper = Stepper(nls, grid, tab, h, config=cfg)
     u = s
     for _ in range(60):
-        u = step(nls, tab, u, h, config=cfg)
+        u = stepper.step(u)
         states.append(u)
     samples = states[::15]
     drift_plain = max(abs(nls.hamiltonian(x) - nls.hamiltonian(samples[0])) for x in samples)

@@ -8,13 +8,11 @@ from hambea import (
     HJet,
     OrderCapError,
     StageSolveConfig,
+    Stepper,
     expand_step_map,
-    jet_lift_nonlinearity,
-    lie_derivative,
+    fd_directional,
     make_model,
     make_tableau,
-    stability_function,
-    step,
     y_norm,
 )
 
@@ -24,42 +22,12 @@ from conftest import MODEL_SPECS, fit_loglog_slope, random_state, same_bits
 # -- series container ---------------------------------------------------------
 
 
-def test_constant_jet(nls, rng):
-    grid = nls.make_grid(4)
-    s = random_state(grid, 1, rng)
-    jet = HJet.constant(s, 3)
-    assert jet.order == 3
-    for h in (0.0, 0.3, -2.0):
-        assert np.max(np.abs(jet.evaluate(h).coeffs - s.coeffs)) == 0.0
-    for j in (1, 2, 3):
-        assert np.max(np.abs(jet.coefficient(j).coeffs)) == 0.0
-
-
-def test_jet_linearity(nls, rng):
-    grid = nls.make_grid(3)
-    a = HJet(grid, rng.normal(size=(4, 1, 7)) + 1j * rng.normal(size=(4, 1, 7)))
-    b = HJet(grid, rng.normal(size=(4, 1, 7)) + 1j * rng.normal(size=(4, 1, 7)))
-    h = 0.37
-    lhs = (a + 2.5 * b).evaluate(h).coeffs
-    rhs = a.evaluate(h).coeffs + 2.5 * b.evaluate(h).coeffs
-    assert np.max(np.abs(lhs - rhs)) < 1e-13
-
-
 def test_evaluate_is_power_series(nls, rng):
     grid = nls.make_grid(3)
     jet = HJet(grid, rng.normal(size=(5, 1, 7)) + 0j)
     h = 0.21
     manual = sum(jet.coeffs[j] * h**j for j in range(5))
     assert np.max(np.abs(jet.evaluate(h).coeffs - manual)) < 1e-15
-
-
-def test_truncate(nls, rng):
-    grid = nls.make_grid(3)
-    jet = HJet(grid, rng.normal(size=(5, 1, 7)) + 0j)
-    cut = jet.truncate(2)
-    assert cut.order == 2
-    manual = sum(jet.coeffs[j] * 0.4**j for j in range(3))
-    assert np.max(np.abs(cut.evaluate(0.4).coeffs - manual)) < 1e-15
 
 
 def test_jet_shape_guard(nls):
@@ -78,9 +46,11 @@ def test_lift_of_constant_jet(nls, rng):
     # B(U(h)) with U constant in h: coefficient 0 is B(U), the rest vanish
     grid = nls.make_grid(4)
     s = random_state(grid, 1, rng)
-    lifted = jet_lift_nonlinearity(nls, HJet.constant(s, 3))
-    assert np.max(np.abs(lifted.coeffs[0] - nls.apply_B(s).coeffs)) < 1e-13
-    assert np.max(np.abs(lifted.coeffs[1:])) < 1e-14
+    const = np.zeros((4,) + s.coeffs.shape, dtype=complex)
+    const[0] = s.coeffs
+    lifted = nls.force_series_coeffs(grid, const, None)
+    assert np.max(np.abs(lifted[0] - nls.apply_B(s).coeffs)) < 1e-13
+    assert np.max(np.abs(lifted[1:])) < 1e-14
 
 
 def test_lift_matches_evaluated_force(nls, rng):
@@ -89,7 +59,7 @@ def test_lift_matches_evaluated_force(nls, rng):
     base = random_state(grid, 1, rng)
     dirn = random_state(grid, 1, rng, scale=0.2)
     path = HJet(grid, np.stack([base.coeffs, dirn.coeffs]))  # U + h V, order 1
-    lifted = jet_lift_nonlinearity(nls, path)
+    lifted = HJet(grid, nls.force_series_coeffs(grid, path.coeffs, None))
     hs = [0.02, 0.01, 0.005]
     errs = []
     for h in hs:
@@ -151,7 +121,7 @@ def test_jet_step_consistency(nls, rng):
         hs = [0.02, 0.01, 0.005, 0.0025]
         errs = []
         for h in hs:
-            full = step(nls, tab, s, h, config=cfg)
+            full = Stepper(nls, grid, tab, h, config=cfg).step(s)
             errs.append(y_norm(full - jet.evaluate(h), nls.q))
         assert fit_loglog_slope(hs, errs) >= n + 0.8
 
@@ -164,7 +134,7 @@ def test_jet_step_consistency_wave(wave_cubic, rng):
     jet = expand_step_map(wave_cubic, tab, s, order=3)
     hs = [0.04, 0.02, 0.01]
     errs = [
-        y_norm(step(wave_cubic, tab, s, h, config=cfg) - jet.evaluate(h), 1.0)
+        y_norm(Stepper(wave_cubic, grid, tab, h, config=cfg).step(s) - jet.evaluate(h), 1.0)
         for h in hs
     ]
     assert fit_loglog_slope(hs, errs) >= 3.8
@@ -217,21 +187,24 @@ def test_order_cap(nls, rng):
 # -- directional derivatives --------------------------------------------------
 
 
+def _directional(F, s, d, q, eps0=1e-5):
+    """F'(s) d from the stack form of fd_directional, on a stack of one state.
+
+    The step is eps = eps0 (1 + ||s||) / (1 + ||d||) in the energy norm.
+    """
+    eps = eps0 * (1.0 + y_norm(s, q)) / (1.0 + y_norm(d, q))
+    out = fd_directional(F, s.coeffs[np.newaxis], d.coeffs[np.newaxis], np.array([eps]))
+    return FourierState(s.grid, out[0])
+
+
 def test_lie_derivative_linear_field_exact(nls, rng):
-    # F linear: DF(U) G(U) = A(G(U)) regardless of the base point
+    # F linear: DF(U) w = A w regardless of the base point
     grid = nls.make_grid(4)
     s = random_state(grid, 1, rng)
-    g_val = random_state(grid, 1, rng, scale=0.2)
-    out = lie_derivative(nls.apply_A, lambda _: g_val, s, q=nls.q)
-    assert y_norm(out - nls.apply_A(g_val), nls.q) < 1e-10
-
-
-def test_lie_derivative_zero_direction(nls, rng):
-    grid = nls.make_grid(4)
-    s = random_state(grid, 1, rng)
-    zero = FourierState.zeros(grid)
-    out = lie_derivative(nls.apply_B, lambda _: zero, s, q=nls.q)
-    assert np.max(np.abs(out.coeffs)) == 0.0
+    w = random_state(grid, 1, rng, scale=0.2)
+    blocks = nls.a_blocks(grid)
+    out = _directional(lambda P: np.einsum("mij,...jm->...im", blocks, P), s, w, nls.q)
+    assert y_norm(out - nls.apply_A(w), nls.q) < 1e-10
 
 
 def test_lie_derivative_cubic_analytic(nls, rng):
@@ -239,20 +212,9 @@ def test_lie_derivative_cubic_analytic(nls, rng):
     grid = nls.make_grid(5)
     s = random_state(grid, 1, rng)
     w = random_state(grid, 1, rng, scale=0.25)
-    got = lie_derivative(nls.apply_B, lambda _: w, s, q=nls.q)
+    got = _directional(lambda P: nls.force(grid, P), s, w, nls.q)
     uv = grid.to_phys(s.coeffs[0])
     wv = grid.to_phys(w.coeffs[0])
     dv = -1j * (2.0 * np.abs(uv) ** 2 * wv + uv**2 * np.conj(wv))
     want = FourierState(grid, grid.to_coeffs(dv)[np.newaxis, :])
     assert y_norm(got - want, nls.q) < 1e-7
-
-
-def test_lie_derivative_projected_direction(nls, rng):
-    # the direction is band-limited before differencing when m is given
-    grid = nls.make_grid(6)
-    s = random_state(grid, 1, rng)
-    w = random_state(grid, 1, rng, scale=0.25)
-    m = 9.0
-    got = lie_derivative(nls.apply_A, lambda _: w, s, m=m, q=nls.q)
-    want = nls.apply_A(nls.project(w, m))
-    assert y_norm(got - want, nls.q) < 1e-10
