@@ -173,19 +173,28 @@ class RealChart:
         self._re_at = (comp[self._is_re], mode[self._is_re])
         self._im_at = (comp[~self._is_re], mode[~self._is_re])
 
+    def coeffs_to_real(self, coeffs: np.ndarray) -> np.ndarray:
+        """Chart coordinates of coefficient arrays, (..., c, band) -> (..., dim)."""
+        parts = np.stack((coeffs.real, coeffs.imag), axis=-1)
+        return parts[(Ellipsis, *self._gather)] * self.scales
+
+    def real_to_coeffs(self, z: np.ndarray) -> np.ndarray:
+        """Coefficient arrays of chart coordinates, (..., dim) -> (..., c, band)."""
+        K = self.grid.n_modes
+        v = np.asarray(z) / self.scales
+        lead = v.shape[:-1]
+        coeffs = np.zeros((*lead, self.model.components, self.grid.band_size), dtype=complex)
+        coeffs[(Ellipsis, *self._re_at)] += v[..., self._is_re]
+        coeffs[(Ellipsis, *self._im_at)] += 1j * v[..., ~self._is_re]
+        if self._folded:
+            coeffs[..., :K] = np.conj(coeffs[..., :K:-1])
+        return coeffs
+
     def to_real(self, state: FourierState) -> np.ndarray:
-        c = state.coeffs
-        return np.stack((c.real, c.imag), axis=-1)[self._gather] * self.scales
+        return self.coeffs_to_real(state.coeffs)
 
     def from_real(self, z: np.ndarray) -> FourierState:
-        K = self.grid.n_modes
-        coeffs = np.zeros((self.model.components, self.grid.band_size), dtype=complex)
-        v = np.asarray(z) / self.scales
-        coeffs[self._re_at] += v[self._is_re]
-        coeffs[self._im_at] += 1j * v[~self._is_re]
-        if self._folded:
-            coeffs[:, :K] = np.conj(coeffs[:, :K:-1])
-        return FourierState(self.grid, coeffs)
+        return FourierState(self.grid, self.real_to_coeffs(z))
 
     def basis_state(self, i: int) -> FourierState:
         e = np.zeros(self.dim)

@@ -11,10 +11,12 @@ band, the stage system
 
     W = (I - h a (x) A)^{-1} (1 (x) U + h a (x) B(W))
 
-is contracted by fixed-point iteration (optionally a dense Newton fallback),
-where the stage-coupled resolvent is assembled and inverted mode by mode.  The
-forces of all s stages are evaluated as one batch, B applied to the
-(s, components, band) stack through a single FFT pair.  The update is
+is contracted by fixed-point iteration, where the stage-coupled resolvent is
+assembled and inverted mode by mode.  The forces of all s stages are evaluated
+as one batch, B applied to the (s, components, band) stack through a single FFT
+pair.  The alternative Newton solve works in real chart coordinates; its dense
+central-difference Jacobian comes from one residual evaluation on the stack of
+all 2 dim perturbed stage states.  The update is
 
     Psi_m^h(U) = S(hA) U + h (b (x) I)^T (I - h a (x) A)^{-1} B(W),
 
@@ -27,11 +29,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConvergenceError, PoleError
-from .models import PdeModel, fd_jacobian
+from .models import PdeModel, RealChart, fd_jacobian
 from .spectral import (
     FourierGrid,
     FourierState,
@@ -192,25 +195,19 @@ class Stepper:
 
     # -- stage algebra -----------------------------------------------------
 
-    def _fold(self, stacked: np.ndarray) -> np.ndarray:
-        """(s, c, band) -> (band, s*c)."""
-        s, c, nb = stacked.shape
-        return stacked.transpose(2, 0, 1).reshape(nb, s * c)
-
-    def _unfold(self, flat: np.ndarray) -> np.ndarray:
-        nb = flat.shape[0]
-        s, c = self.tab.stages, self.model.components
-        return flat.reshape(nb, s, c).transpose(1, 2, 0)
-
     def _apply_resolvent(self, stacked: np.ndarray) -> np.ndarray:
-        return self._unfold(np.einsum("kab,kb->ka", self._resolvent, self._fold(stacked)))
+        """Stage resolvent applied mode by mode to (..., s, c, band) stacks."""
+        s, c, nb = stacked.shape[-3:]
+        flat = stacked.reshape(-1, s * c, nb)
+        # einsum lays the result out mode-major, so the reshape back is a view
+        return np.einsum("kab,nbk->nak", self._resolvent, flat).reshape(stacked.shape)
 
     def _force_stack(self, stages: np.ndarray) -> np.ndarray:
         return self.model.force(self.grid, stages, self.m)
 
     def _rhs(self, u_coeffs: np.ndarray, force: np.ndarray) -> np.ndarray:
-        mixed = np.einsum("ij,jcm->icm", self.tab.a, force)
-        return u_coeffs[None, :, :] + self.h * mixed
+        mixed = np.einsum("ij,...jcm->...icm", self.tab.a, force)
+        return u_coeffs + self.h * mixed
 
     # -- public ------------------------------------------------------------
 
@@ -240,18 +237,18 @@ class Stepper:
             prev = res
         raise ConvergenceError("stage iteration did not converge", res, self.config.max_iter)
 
+    @cached_property
+    def _chart(self) -> RealChart:
+        return self.model.chart(self.grid, self.m)
+
     def _solve_newton(self, um: FourierState, stages: np.ndarray, scale: float) -> StageResult:
-        chart = self.model.chart(self.grid, self.m)
-        s = self.tab.stages
+        chart, s = self._chart, self.tab.stages
 
-        def pack(st: np.ndarray) -> np.ndarray:
-            return np.concatenate(
-                [chart.to_real(FourierState(self.grid, st[i])) for i in range(s)]
-            )
+        def pack(st: np.ndarray) -> np.ndarray:  # (..., s, c, band) -> (..., s*dim)
+            return chart.coeffs_to_real(st).reshape(*st.shape[:-3], -1)
 
-        def unpack(z: np.ndarray) -> np.ndarray:
-            parts = np.split(z, s)
-            return np.stack([chart.from_real(p).coeffs for p in parts])
+        def unpack(z: np.ndarray) -> np.ndarray:  # (..., s*dim) -> (..., s, c, band)
+            return chart.real_to_coeffs(z.reshape(*z.shape[:-1], s, -1))
 
         def residual_vec(z: np.ndarray) -> np.ndarray:
             st = unpack(z)
@@ -267,13 +264,15 @@ class Stepper:
                 raise ConvergenceError("Newton stage solve produced a non-finite residual", res, it)
             if res <= self.config.tol:
                 return StageResult(self.grid, unpack(z), it, res)
-            jac = np.empty((dim, dim))
+            # central differences along every chart axis, all 2 dim states in one stack
             eps = 1e-7 * (1.0 + float(np.linalg.norm(z)))
-            for i in range(dim):
-                e = np.zeros(dim)
-                e[i] = eps
-                jac[:, i] = (residual_vec(z + e) - residual_vec(z - e)) / (2 * eps)
-            z = z - np.linalg.solve(jac, r)
+            shift = eps * np.eye(dim)
+            g = residual_vec(np.concatenate((z + shift, z - shift)))
+            jac = ((g[:dim] - g[dim:]) / (2 * eps)).T
+            try:
+                z = z - np.linalg.solve(jac, r)
+            except np.linalg.LinAlgError as exc:
+                raise ConvergenceError("Newton stage Jacobian is singular", res, it) from exc
         raise ConvergenceError("Newton stage solve did not converge", res, self.config.max_iter)
 
     def step(self, U: FourierState, stages: StageResult | None = None) -> FourierState:
@@ -284,7 +283,8 @@ class Stepper:
         if self.h == 0.0:
             return FourierState(self.grid, lin)
         force = self._force_stack(stages.stages)
-        corr = np.einsum("kca,ka->ck", self._update_row, self._fold(force))
+        flat = force.reshape(-1, self.grid.band_size)
+        corr = np.einsum("kca,ak->ck", self._update_row, flat)
         return FourierState(self.grid, lin + corr)
 
 

@@ -20,7 +20,7 @@ from hambea import (
 from hambea.rk import linear_operator_bounds, symplecticity_residual
 from hambea.spectral import y_norms
 
-from conftest import fit_loglog_slope, random_state, same_bits
+from conftest import MODEL_SPECS, fit_loglog_slope, random_state, same_bits
 
 SQRT3 = math.sqrt(3.0)
 SQRT15 = math.sqrt(15.0)
@@ -192,15 +192,102 @@ def test_stage_solver_nonconvergence_raises(nls, rng):
         Stepper(nls, grid, make_tableau("gauss2"), 0.5, config=cfg).step(s)
 
 
-def test_newton_matches_fixed_point(nls, rng):
-    grid = nls.make_grid(4)
-    s = random_state(grid, 1, rng)
-    h = 0.08
+def test_newton_matches_fixed_point(rng):
+    # NLS has an unfolded one-component chart, sine-Gordon a folded two-component
+    # one; at K = 5 the radius m = 4 cuts both bands
     tab = make_tableau("gauss2")
-    a = Stepper(nls, grid, tab, h, config=StageSolveConfig(tol=1e-14)).step(s)
-    newton = StageSolveConfig(scheme="newton_on_modes", tol=1e-14)
-    b = Stepper(nls, grid, tab, h, config=newton).step(s)
-    assert y_norm(a - b, nls.q) < 1e-11
+    h = 0.08
+    for key, K in (("nls-cubic", 4), ("sine-gordon", 5)):
+        model = make_model(*MODEL_SPECS[key])
+        grid = model.make_grid(K)
+        s = random_state(grid, model.components, rng, real_field=model.is_real_field)
+        for m in (None, 4.0):
+            a = Stepper(model, grid, tab, h, m, StageSolveConfig(tol=1e-14)).step(s)
+            newton = StageSolveConfig(scheme="newton_on_modes", tol=1e-14)
+            b = Stepper(model, grid, tab, h, m, newton).step(s)
+            assert y_norm(a - b, model.q) < 1e-11
+
+
+def _newton_reference(stepper, U):
+    """The Newton stage solve packed stage by stage, one residual pair per Jacobian column.
+
+    Returns (stages, iterations, residual, Jacobians) for bitwise comparison
+    with Stepper.solve_stages, which evaluates all the columns as one stack.
+    """
+    model, grid, m, s = stepper.model, stepper.grid, stepper.m, stepper.tab.stages
+    chart = model.chart(grid, m)
+    um = model.project(U, m) if m is not None else U
+    scale = 1.0 + y_norm(um, model.q)
+
+    def pack(st):
+        return np.concatenate([chart.to_real(FourierState(grid, st[i])) for i in range(s)])
+
+    def unpack(z):
+        return np.stack([chart.from_real(p).coeffs for p in np.split(z, s)])
+
+    def residual_vec(z):
+        st = unpack(z)
+        force = stepper._force_stack(st)
+        return pack(st - stepper._apply_resolvent(stepper._rhs(um.coeffs, force)))
+
+    z = pack(stepper._apply_resolvent(np.repeat(um.coeffs[None], s, axis=0)))
+    jacs = []
+    for it in range(1, stepper.config.max_iter + 1):
+        r = residual_vec(z)
+        res = float(np.linalg.norm(r)) / scale
+        if res <= stepper.config.tol:
+            return unpack(z), it, res, jacs
+        eps = 1e-7 * (1.0 + float(np.linalg.norm(z)))
+        jac = np.empty((z.size, z.size))
+        for i in range(z.size):
+            e = np.zeros(z.size)
+            e[i] = eps
+            jac[:, i] = (residual_vec(z + e) - residual_vec(z - e)) / (2 * eps)
+        jacs.append(jac)
+        z = z - np.linalg.solve(jac, r)
+    raise AssertionError("reference Newton solve did not converge")
+
+
+@pytest.mark.parametrize("m", [None, 4.0])
+@pytest.mark.parametrize("tab_name", ["midpoint", "gauss2", "gauss3"])
+@pytest.mark.parametrize("key", ["sine-gordon", "wave-poly", "nls-cubic", "nls-quintic",
+                                 "nonlocal-nls"])
+def test_stacked_newton_jacobian_matches_column_loop(key, tab_name, m, rng, monkeypatch):
+    model = make_model(*MODEL_SPECS[key])
+    grid = model.make_grid(5)
+    U = random_state(grid, model.components, rng, real_field=model.is_real_field)
+    config = StageSolveConfig(scheme="newton_on_modes", tol=1e-12)
+    stepper = Stepper(model, grid, make_tableau(tab_name), 0.05, m, config)
+    jacs, solve = [], np.linalg.solve
+
+    def recording_solve(jac, r):
+        jacs.append(np.array(jac))
+        return solve(jac, r)
+
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    got = stepper.solve_stages(U)
+    monkeypatch.undo()
+    stages, iterations, residual, want_jacs = _newton_reference(stepper, U)
+    assert got.iterations == iterations >= 2
+    assert same_bits(got.stages, stages) and same_bits(got.residual, residual)
+    assert len(jacs) == len(want_jacs)
+    assert all(same_bits(a, b) for a, b in zip(jacs, want_jacs))
+
+
+def test_singular_newton_jacobian_raises(nls, rng, monkeypatch):
+    grid = nls.make_grid(4)
+    U = random_state(grid, 1, rng)
+    newton = StageSolveConfig(scheme="newton_on_modes")
+    stepper = Stepper(nls, grid, make_tableau("gauss2"), 0.05, config=newton)
+
+    def singular(jac, r):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(ConvergenceError, match="singular") as info:
+        stepper.solve_stages(U)
+    assert info.value.iterations == 1 and info.value.residual > newton.tol
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
 def test_non_finite_stages_raise(nls):
