@@ -290,6 +290,19 @@ def test_singular_newton_jacobian_raises(nls, rng, monkeypatch):
     assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
+def test_newton_builds_its_chart_once(wave_sg, rng, monkeypatch):
+    grid = wave_sg.make_grid(4)
+    U = random_state(grid, 2, rng, real_field=True)
+    newton = StageSolveConfig(scheme="newton_on_modes")
+    stepper = Stepper(wave_sg, grid, make_tableau("gauss2"), 0.05, config=newton)
+    built = []
+    chart = wave_sg.chart
+    monkeypatch.setattr(wave_sg, "chart", lambda *args: built.append(args) or chart(*args))
+    for _ in range(3):
+        U = stepper.step(U)
+    assert len(built) == 1
+
+
 def test_non_finite_stages_raise(nls):
     # a state far outside the contraction regime blows the stage iterate up;
     # the NaN stage must not read as a zero residual and pass as converged
