@@ -1,27 +1,21 @@
 r"""Executable backward error analysis of the symplectic step maps.
 
-For a method of order p with exact h-expansion Psi^h(y) = y + sum_j h^j g^j(y)
-(coefficients from the jet machinery, noise-free), the modified vector field
-f-tilde with coefficients f^1 = f, f^{j+1}, ... is built from the matching
-recursion: the time-h flow of f-tilde must reproduce Psi^h order by order,
-which pins
-
-    f^j(y) = g^j(y)
-             - sum_{i=2}^{j} 1/i! sum_{k_1+...+k_i = j, k_r >= 1}
-               (D_{k_1} ... D_{k_{i-1}} f^{k_i})(y),
-
-where D_k v = Dv . f^k is the Lie derivative along f^k.  The nested
-derivatives are evaluated by fourth-order central differences; the inner step
-widens with the estimated noise of the field being differentiated (a noisy
-field needs a coarser stencil), and every coefficient carries a propagated
-noise estimate that is surfaced to callers.  For an order-p method the
-coefficients f^2 ... f^p vanish identically; the series paths exploit that,
-while the raw recursion remains available so the cancellation can be measured
-rather than assumed.
+The modified vector field f-tilde = f^1 + h f^2 + h^2 f^3 + ... of a step map
+Psi_h (f^1 = f) is the one whose time-h flow is Psi_h.  Its coefficients are
+exact functions of the h-jets of the orbit y_i = Psi_h^i(y): with E the shift
+y_i -> y_{i+1}, h f-tilde = log(E) id, so f^j = sum_i w_i [h^j] y_i for fixed
+rational weights w_i (Hairer, Lubich and Wanner, Geometric Numerical
+Integration, ch. IX).  The jets come from hjet.expand_step_map iterated on its
+own output.  Gauss methods are symmetric, y_{-i}(h) = y_i(-h), so the central
+(Stirling) form of the logarithm needs only the odd part of y_1 .. y_k, k
+iterates for f^{2k-1}, and gives every even coefficient exactly zero; for an
+order-p method f^2 .. f^p are zero as well.  The forward form needs j
+iterates for f^j; its even coefficients vanish only in exact arithmetic, so
+their computed size measures the roundoff of the jets (noise_floor).
 
 Coefficients are evaluated on stacks of states of shape (N, components,
-band): each stencil level of a chain is one evaluation on all 4N stencil
-points, and the quadrature nodes of a modified energy form one stack.
+band): the quadrature nodes of a modified energy go through one orbit as one
+stack.
 
 The truncated field f-tilde^n = f + sum_{j=p}^{n-1} h^j f^{j+1} generates the
 modified flow (a high-accuracy reference integration over one step) and the
@@ -45,44 +39,41 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import OrderCapError
-from .hjet import expand_step_map, fd_directional
+from .hjet import HJet, expand_step_map
 from .models import PdeModel
 from .rk import ButcherTableau
-from .spectral import FourierGrid, FourierState, y_norm, y_norms
+from .spectral import FourierGrid, FourierState, y_norm
 
 N_MAX_DEFAULT = 6
-_CLEAN = 1e-16  # relative noise attributed to a directly computed field
+_SYMMETRY_TOL = 1e-12
 
 
 @lru_cache(maxsize=None)
-def _compositions(total: int) -> tuple[tuple[int, ...], ...]:
-    """Ordered tuples of positive integers summing to total, length >= 2."""
+def _log_weights(j: int, central: bool) -> tuple[float, ...]:
+    """Weights w_1, w_2, ... with f^j = sum_i w_i [h^j] y_i.
 
-    def gen(t: int):
-        if t == 0:
-            yield ()
-            return
-        for first in range(1, t + 1):
-            for rest in gen(t - first):
-                yield (first,) + rest
-
-    return tuple(c for c in gen(total) if len(c) >= 2)
+    With E = exp(D), the weights make sum_i w_i (E^i - 1) (forward, i <= j)
+    or sum_i w_i (E^i - E^-i)/2 (central, i <= (j+1)/2, j odd) equal D up to
+    order D^j.  That is sum_i w_i i^r = [r = 1] for r = 1 .. j, or
+    sum_i w_i i^(2r+1) = [r = 0] for r < (j+1)/2: w_i = L_i(0)/i for the
+    Lagrange basis L_i on the nodes i (forward) or i^2 (central).  The
+    central weights are the Stirling series of log E truncated after the
+    terms that reach order h^j.
+    """
+    e, count = (2, (j + 1) // 2) if central else (1, j)
+    x = [i**e for i in range(1, count + 1)]
+    # integer numerator over integer denominator: one correctly rounded division
+    return tuple(
+        math.prod(xl for xl in x if xl != xi) / (i * math.prod(xl - xi for xl in x if xl != xi))
+        for i, xi in enumerate(x, 1)
+    )
 
 
 class ModifiedField:
     """Evaluator for the modified-field coefficients of (model, tableau, band).
 
-    Nothing is stored per state, only per-order noise estimates, so one
-    instance serves any number of states.  assume_order=True treats f^2..f^p
-    as identically zero, which is exact for an order-p method and keeps
-    finite-difference noise out of the higher coefficients;
-    assume_order=False runs the raw recursion.
-
-    eps0 is the base relative stencil width.  The derivative chains are
-    smooth (polynomial for the bundled models), so the width can sit far
-    above sqrt-of-roundoff territory before fourth-order truncation error
-    shows up; 3e-4 minimizes the measured noise on a coefficient whose true
-    value is known to vanish, beating 1e-5 by three orders of magnitude.
+    Nothing is stored per state; the only state is the measured roundoff
+    floor (noise_floor), taken once at the first state it is asked about.
     """
 
     def __init__(
@@ -91,161 +82,92 @@ class ModifiedField:
         tab: ButcherTableau,
         m: float | None = None,
         n_max: int = N_MAX_DEFAULT,
-        eps0: float = 3e-4,
-        assume_order: bool = True,
     ):
+        # the central logarithm needs Psi_h^-1 = Psi_-h
+        a, b = np.asarray(tab.a), np.asarray(tab.b)
+        if np.max(np.abs(a + a[::-1, ::-1] - b)) > _SYMMETRY_TOL:
+            raise ValueError(f"tableau {tab.name!r} is not symmetric")
         self.model = model
         self.tab = tab
         self.m = m
         self.n_max = n_max
-        self.eps0 = eps0
-        self.assume_order = assume_order
-        self._noise: dict[int, float] = {}
-        self._probe: dict[int, float] = {}
+        self._forward_norms: list[float] = []  # ||forward f^j|| / ||f^1||
 
-    def _eps_rel(self, noise: float) -> float:
-        """Stencil width for differentiating a field of the given noise level."""
-        return self.eps0 * max(1.0, (noise / _CLEAN) ** 0.2)
-
-    # -- noise bookkeeping --------------------------------------------------
-
-    def field_noise(self, j: int) -> float:
-        """Propagated relative-noise estimate of the coefficient f^j."""
-        if j in self._noise:
-            return self._noise[j]
-        if j == 1:
-            out = _CLEAN
-        elif self.assume_order and 2 <= j <= self.tab.order:
-            out = 0.0
+    def _log(self, grid: FourierGrid, Y: np.ndarray, n: int, central: bool) -> np.ndarray:
+        """f^0 = 0, f^1 .. f^n at each state of Y from its orbit, shape (n+1, *Y.shape)."""
+        if central:
+            orders = [1] + [j for j in range(self.tab.order + 1, n + 1) if j % 2 == 1]
         else:
-            out = 10.0 * _CLEAN  # jet coefficient roundoff
-            for comp in self._terms(j):
-                out += self._chain_noise(comp) / math.factorial(len(comp))
-        self._noise[j] = out
+            orders = list(range(1, n + 1))
+        top = orders[-1]
+        jet, orbit = HJet(grid, Y[np.newaxis]), []
+        for _ in range(len(_log_weights(top, central))):
+            jet = expand_step_map(self.model, self.tab, jet, self.m, top)
+            orbit.append(jet.coeffs)
+        out = np.zeros((n + 1,) + Y.shape, dtype=complex)
+        for j in orders:
+            out[j] = sum(w * orbit[i][j] for i, w in enumerate(_log_weights(j, central)))
         return out
 
-    def _chain_noise(self, chain: tuple[int, ...]) -> float:
-        if len(chain) == 1:
-            return self.field_noise(chain[0])
-        inner = self._chain_noise(chain[1:])
-        eps = self._eps_rel(inner)
-        return 1.5 * inner / eps + eps**4 + _CLEAN
-
-    # -- recursion ----------------------------------------------------------
-
-    def _terms(self, j: int) -> list[tuple[int, ...]]:
-        comps = _compositions(j)
-        if not self.assume_order:
-            return list(comps)
-        p = self.tab.order
-        return [c for c in comps if not any(2 <= k <= p for k in c)]
-
-    def coefficient(self, j: int, U: FourierState) -> FourierState:
-        """The coefficient f^j evaluated at U."""
-        return FourierState(U.grid, self.coefficients(j, U.grid, U.coeffs[np.newaxis])[0])
-
-    def coefficients(self, j: int, grid: FourierGrid, Y: np.ndarray) -> np.ndarray:
-        """f^j at each state of the stack Y, shape (N, components, band).
+    def series_coefficients(self, grid: FourierGrid, Y: np.ndarray, n: int) -> np.ndarray:
+        """f^0 = 0, f^1 .. f^n at each state of the stack Y, shape (n+1, N, c, band).
 
         Non-finite states (trial points of an adaptive caller that blew up)
         answer NaN without being evaluated.
         """
-        if j < 1:
+        if n < 1:
             raise ValueError("coefficient index starts at 1")
-        if j > max(self.n_max, 1):
-            raise OrderCapError(f"coefficient order {j} exceeds the cap {self.n_max}")
+        if n > max(self.n_max, 1):
+            raise OrderCapError(f"coefficient order {n} exceeds the cap {self.n_max}")
         finite = np.all(np.isfinite(Y), axis=(-2, -1))
         if not finite.all():
-            out = np.full(Y.shape, np.nan, dtype=complex)
+            out = np.full((n + 1,) + Y.shape, np.nan, dtype=complex)
             if finite.any():
-                out[finite] = self.coefficients(j, grid, Y[finite])
+                out[:, finite] = self.series_coefficients(grid, Y[finite], n)
             return out
-        if self.assume_order and 2 <= j <= self.tab.order:
-            return np.zeros_like(Y)
-        if j == 1:
-            ym = self.model._masked(grid, Y, self.m)
-            blocks = self.model.a_blocks(grid)
-            return np.einsum("mij,...jm->...im", blocks, ym) + self.model.force(grid, ym, self.m)
-        out = expand_step_map(self.model, self.tab, Y, self.m, j, grid).coeffs[j]
-        for comp in self._terms(j):
-            out = out - (1.0 / math.factorial(len(comp))) * self._chain(comp, grid, Y)
-        return out
+        return self._log(grid, Y, n, central=True)
 
-    def _chain(self, chain: tuple[int, ...], grid: FourierGrid, Y: np.ndarray) -> np.ndarray:
-        """(D_{chain[0]} ... D_{chain[-2]} f^{chain[-1]}) at each state of Y.
+    def coefficient(self, j: int, U: FourierState) -> FourierState:
+        """The coefficient f^j evaluated at U.
 
-        Zero where the direction vanishes, NaN where the stencil width is not
-        a positive number; all other states share one stencil evaluation.
+        A one-state wrapper over series_coefficients, kept because the
+        benchmark tracer binds it by name.
         """
-        if len(chain) == 1:
-            return self.coefficients(chain[0], grid, Y)
-        d = self.coefficients(chain[0], grid, Y)
-        dn = y_norms(grid, d, self.model.q)
-        eps_rel = self._eps_rel(self._chain_noise(chain[1:]))
-        eps = eps_rel * (1.0 + y_norms(grid, Y, self.model.q)) / (1.0 + dn)
-        usable = np.isfinite(eps) & (eps > 0.0)
-        out = np.zeros_like(Y)
-        out[(dn != 0.0) & ~usable] = np.nan
-        rows = (dn != 0.0) & usable
-        if rows.any():
-            inner = lambda points: self._chain(chain[1:], grid, points)  # noqa: E731
-            out[rows] = fd_directional(inner, Y[rows], d[rows], eps[rows])
-        return out
+        fj = self.series_coefficients(U.grid, U.coeffs[np.newaxis], j)[j, 0]
+        return FourierState(U.grid, fj)
 
-    # -- series -------------------------------------------------------------
+    def forward_coefficients(self, grid: FourierGrid, Y: np.ndarray, n: int) -> np.ndarray:
+        """f^0 = 0, f^1 .. f^n from the forward logarithm, even orders computed."""
+        return self._log(grid, Y, n, central=False)
 
     def series_eval(self, U: FourierState, h: float, n: int) -> FourierState:
-        """f-tilde^n(U; h) = f(U) + sum_{j=p}^{n-1} h^j f^{j+1}(U)."""
-        if n < 1:
-            raise ValueError("truncation order n must be at least 1")
-        if n > self.n_max:
-            raise OrderCapError(f"truncation order {n} exceeds the cap {self.n_max}")
-        out = self.coefficient(1, U)
-        for j in range(self.tab.order, n):
-            out = out + (h**j) * self.coefficient(j + 1, U)
-        return out
+        """f-tilde^n(U; h) = f(U) + sum_{j=p}^{n-1} h^j f^{j+1}(U).
 
-    def series_noise(self, h: float, n: int) -> float:
-        """Relative-noise estimate of a series evaluation at step size h.
-
-        The per-coefficient estimates compound worst case through the nested
-        stencils, so this is an upper bound; measured_series_noise is the
-        sharper, empirical counterpart.
+        A one-state wrapper over series_coefficients, kept because the
+        benchmark tracer binds it by name.
         """
-        out = _CLEAN
+        fs = self.series_coefficients(U.grid, U.coeffs[np.newaxis], n)[:, 0]
+        out = fs[1]
         for j in range(self.tab.order, n):
-            out += abs(h) ** j * self.field_noise(j + 1)
-        return out
+            out = out + (h**j) * fs[j + 1]
+        return FourierState(U.grid, out)
 
-    def measured_noise_abs(self, j: int, U: FourierState) -> float:
-        """Empirical noise scale of f^j at U (norm units).
+    def noise_floor(self, U: FourierState, h: float, n: int) -> float:
+        """Measured relative roundoff of f-tilde^n(.; h), in units of ||f^1||.
 
-        Re-evaluates the coefficient in a fresh context with a shifted
-        stencil width; the difference isolates the stencil-dependent part.
-        Cached per j against the first probed point.
+        Each term h^j f^{j+1} (f^1 included) is weighted by the norm of the
+        first even forward-log coefficient at or above order j+1, relative to
+        ||f^1||.  The norms come from one forward orbit at the first state
+        asked about, and again only when a later call needs a higher order.
         """
-        if j in self._probe:
-            return self._probe[j]
-        if j == 1 or (self.assume_order and 2 <= j <= self.tab.order):
-            out = _CLEAN * max(1.0, y_norm(self.coefficient(1, U), self.model.q))
-        else:
-            alt = ModifiedField(
-                self.model,
-                self.tab,
-                self.m,
-                n_max=self.n_max,
-                eps0=self.eps0 * 1.37,
-                assume_order=self.assume_order,
-            )
-            out = y_norm(self.coefficient(j, U) - alt.coefficient(j, U), self.model.q)
-        self._probe[j] = out
-        return out
-
-    def measured_series_noise(self, U: FourierState, h: float, n: int) -> float:
-        """Empirical noise scale (norm units) of the truncated series at U."""
-        out = _CLEAN * max(1.0, y_norm(self.coefficient(1, U), self.model.q))
+        top = n + n % 2
+        if len(self._forward_norms) <= top:
+            fs = self.forward_coefficients(U.grid, U.coeffs[np.newaxis], top)[:, 0]
+            norms = [y_norm(FourierState(U.grid, f), self.model.q) for f in fs]
+            self._forward_norms = [x / norms[1] if norms[1] else 0.0 for x in norms]
+        out = self._forward_norms[2]
         for j in range(self.tab.order, n):
-            out += abs(h) ** j * self.measured_noise_abs(j + 1, U)
+            out += abs(h) ** j * self._forward_norms[j + 1 + (j + 1) % 2]
         return out
 
 
@@ -264,11 +186,11 @@ def modified_flow(
 
     n = 1 reduces to reference integration of the band-truncated system.  The
     integrator is a high-order embedded pair left fully adaptive: each
-    right-hand-side evaluation prices a whole coefficient recursion, so a
-    step cap would multiply the cost for no accuracy gain.  The requested
-    tolerances are floored at the measured stencil noise of the series;
-    without that floor the error controller chases noise it can never beat
-    and the step collapses.
+    right-hand-side evaluation prices a whole orbit expansion, so a step cap
+    would multiply the cost for no accuracy gain.  The requested tolerances
+    are floored at the measured roundoff of the series; without that floor
+    the error controller chases roundoff it can never beat and spends more
+    right-hand sides for no accuracy.
     """
     if mf is None:
         mf = ModifiedField(model, tab, m, n_max=max(N_MAX_DEFAULT, n))
@@ -276,7 +198,7 @@ def modified_flow(
     um = model.project(U, m) if m is not None else U
     z0 = chart.to_real(um)
 
-    noise = mf.measured_series_noise(um, h, n)
+    noise = mf.noise_floor(um, h, n) * max(1.0, y_norm(mf.series_eval(um, h, 1), model.q))
     scale = max(1.0, float(np.linalg.norm(z0)))
     rtol_eff = max(rtol, 5.0 * noise / scale)
     atol_eff = max(atol, 0.5 * noise)
@@ -318,21 +240,22 @@ def modified_hamiltonian_terms(
     """Line-integral energies H^j(U) for j = p+1 .. n (independent of h).
 
     H^j(U) = int_0^1 <U - U0, J^{-1} f^j(U0 + t (U - U0))> dt with the model
-    pairing, anchored at U0 (zero state by default), by Gauss-Legendre
-    quadrature in t; the nodes go through the recursion as one stack per j.
+    pairing, anchored at U0 (model.anchor(P_m U) by default), by
+    Gauss-Legendre quadrature in t; the nodes go through one orbit expansion
+    as one stack.
     """
     if mf is None:
         mf = ModifiedField(model, tab, m, n_max=max(N_MAX_DEFAULT, n))
     um = model.project(U, m) if m is not None else U
-    u0 = anchor if anchor is not None else FourierState(um.grid, np.zeros_like(um.coeffs))
+    u0 = anchor if anchor is not None else model.anchor(um)
     diff = um - u0
     t, w = _quad_nodes(nodes)
     points = u0.coeffs + t[:, np.newaxis, np.newaxis] * diff.coeffs
+    fs = mf.series_coefficients(um.grid, points, n) if n > tab.order else []
     out: dict[int, float] = {}
     for j in range(tab.order + 1, n + 1):
-        fj = mf.coefficients(j, um.grid, points)
         acc = 0.0
-        for fi, wi in zip(fj, w):
+        for fi, wi in zip(fs[j], w):
             acc += wi * model.pairing(diff, model.apply_J_inv(FourierState(um.grid, fi)))
         out[j] = acc
     return out

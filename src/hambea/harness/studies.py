@@ -160,7 +160,7 @@ def run_drift_study(
             U = model.project(U0, m) if m is not None else U0
             H0 = model.hamiltonian(U)
             Ht0 = modified_hamiltonian_eval(model, tab, U, h, n, m, mf=mf)
-            floor = (mf.series_noise(h, n) + 1e-15) * max(1.0, abs(H0))
+            floor = (mf.noise_floor(U, h, n) + 1e-15) * max(1.0, abs(H0))
             sample_at = set(_sample_indices(steps, cfg.run.samples))
             sampled = [(0, U)]
             for j in range(1, steps + 1):
@@ -301,7 +301,7 @@ def run_bea_verify(
       largest h;
     - bea_expfit.csv: with the coupled policy, per-step H-tilde drift versus
       h^(-1/(1+q)) with a log-linear fit and its R^2 (rows below the
-      estimated noise floor are excluded from the fit, flag in_fit).
+      measured roundoff floor are excluded from the fit, flag in_fit).
     """
     model, grid, tab, U0 = _setup(cfg, seed)
     sscfg = cfg.method.stage_config()
@@ -390,7 +390,7 @@ def run_bea_verify(
                 mf = ModifiedField(model, tab, m, n_max=max(cfg.bea.n_max, n))
                 U = model.project(U0, m)
                 Ht0 = modified_hamiltonian_eval(model, tab, U, h, n, m, mf=mf)
-                floor = (mf.series_noise(h, n) + 1e-15) * max(1.0, abs(Ht0))
+                floor = (mf.noise_floor(U, h, n) + 1e-15) * max(1.0, abs(Ht0))
                 sample_at = _sample_indices(steps, min(cfg.run.samples, 9))
                 per_step = 0.0
                 for j in range(1, steps + 1):

@@ -297,6 +297,13 @@ class PdeModel:
     def chart(self, grid: FourierGrid, m: float | None = None) -> RealChart:
         return RealChart(self, grid, m)
 
+    def anchor(self, state: FourierState) -> FourierState:
+        """Base point U0 of the modified-energy line integrals from U0 to state.
+
+        The zero state, where the energy densities are smooth.
+        """
+        return FourierState(state.grid, np.zeros_like(state.coeffs))
+
     def params_dict(self) -> dict:
         raise NotImplementedError
 
@@ -551,6 +558,20 @@ class NonlocalNlsModel(_SchroedingerBase):
                 f"total mass {rho:.3e} below the admissible floor {self.rho_min:.3e}"
             )
         return float(np.real(grid.quadrature(0.5 * np.abs(ux) ** 2))) + 0.5 / rho
+
+    def anchor(self, state: FourierState) -> FourierState:
+        """The zero-mode plane wave a with the mass of state and its zero mode's phase.
+
+        V(rho) = 1/rho is singular at the zero state.  With this anchor
+        <a, U> >= 0, so the mass stays >= rho(U)/2 along the segment from a to
+        U.  The energies H^j(a) then depend on U only through its mass, which
+        the method conserves, and not through the phase: the field commutes
+        with global phase rotation.
+        """
+        u0 = state.mode(0)
+        out = FourierState.zeros(state.grid)
+        out.set_mode(0, np.sqrt(self._mass(state.coeffs)) * (u0 / abs(u0) if u0 != 0 else 1.0))
+        return out
 
     def params_dict(self) -> dict:
         return {"name": self.name, "rho_min": self.rho_min}

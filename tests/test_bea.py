@@ -1,4 +1,5 @@
-"""Modified-field recursion, modified energies, and truncation policies."""
+"""Modified-field coefficients from the orbit logarithm, modified energies, and
+truncation policies."""
 
 import math
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from hambea import (
+    ButcherTableau,
     FourierState,
     ModifiedField,
     OrderCapError,
@@ -47,27 +49,57 @@ def test_first_coefficient_band_limited(nls, rng):
 
 
 def test_second_coefficient_vanishes_raw(nls, rng):
-    # order-2 method: the raw recursion must cancel g^2 against Df.f/2
-    # down to stencil noise, which sits many orders below the field scale
+    # order-2 method: the forward logarithm computes f^2 from the orbit jets
+    # without assuming it away, and must cancel it down to roundoff, many
+    # orders below the field scale
     grid = nls.make_grid(3)
     s = random_state(grid, 1, rng)
-    tab = make_tableau("midpoint")
-    raw = ModifiedField(nls, tab, assume_order=False)
-    scale = y_norm(raw.coefficient(1, s), nls.q)
-    f2 = raw.coefficient(2, s)
-    assert y_norm(f2, nls.q) < 1e-8 * scale
+    mf = ModifiedField(nls, make_tableau("midpoint"))
+    fs = mf.forward_coefficients(grid, s.coeffs[np.newaxis], 2)[:, 0]
+    scale = y_norm(FourierState(grid, fs[1]), nls.q)
+    assert y_norm(FourierState(grid, fs[2]), nls.q) < 1e-8 * scale
 
 
 def test_fourth_coefficient_vanishes_symmetric(nls, rng):
-    # symmetric method: every even coefficient is zero; f^4 is the first
-    # even one past the order and is computed, not imposed
+    # symmetric method: every even coefficient is zero; the forward logarithm
+    # computes f^4, the first even one past the order, rather than imposing it
     grid = nls.make_grid(3)
     s = random_state(grid, 1, rng)
-    tab = make_tableau("midpoint")
-    mf = ModifiedField(nls, tab, assume_order=True)
-    scale = y_norm(mf.coefficient(1, s), nls.q)
-    f4 = mf.coefficient(4, s)
-    assert y_norm(f4, nls.q) < 1e-6 * scale
+    mf = ModifiedField(nls, make_tableau("midpoint"))
+    fs = mf.forward_coefficients(grid, s.coeffs[np.newaxis], 4)[:, 0]
+    scale = y_norm(FourierState(grid, fs[1]), nls.q)
+    assert y_norm(FourierState(grid, fs[4]), nls.q) < 1e-6 * scale
+    assert np.max(np.abs(mf.coefficient(4, s).coeffs)) == 0.0
+
+
+@pytest.mark.parametrize("tab_name", ["midpoint", "gauss2", "gauss3"])
+@pytest.mark.parametrize("key,m", [(key, m) for key in MODEL_SPECS for m in (None, 4.0)])
+def test_central_log_matches_forward_log(key, m, tab_name, rng):
+    # the central (Stirling) and forward series of log E are the same series
+    # regrouped, so they agree on every odd coefficient the central one
+    # computes, while the central one needs about half the orbit iterates
+    model = make_model(*MODEL_SPECS[key])
+    grid = model.make_grid(4)
+    tab = make_tableau(tab_name)
+    Y = np.stack(
+        [
+            random_state(grid, model.components, rng, real_field=model.is_real_field).coeffs
+            for _ in range(3)
+        ]
+    )
+    mf = ModifiedField(model, tab, m, n_max=5)
+    central = mf.series_coefficients(grid, Y, 5)
+    forward = mf.forward_coefficients(grid, Y, 5)
+    for j in [1] + [j for j in (3, 5) if j > tab.order]:
+        for c, f in zip(central[j], forward[j]):
+            assert np.linalg.norm(c - f) <= 1e-8 * np.linalg.norm(f), j
+
+
+def test_rejects_non_symmetric_tableau(nls):
+    # the central logarithm needs Psi_h^-1 = Psi_-h; explicit Euler breaks it
+    euler = ButcherTableau("euler", np.zeros((1, 1)), np.ones(1), np.zeros(1), 1)
+    with pytest.raises(ValueError):
+        ModifiedField(nls, euler)
 
 
 def test_assumed_coefficients_are_exactly_zero(nls, rng):
@@ -93,7 +125,8 @@ def test_coefficient_repeatable_without_per_state_storage(nls, rng):
     before = sizes()
     for _ in range(4):
         mf.coefficient(5, random_state(grid, 1, rng))
-    mf.coefficients(5, grid, np.stack([random_state(grid, 1, rng).coeffs for _ in range(3)]))
+    stack = np.stack([random_state(grid, 1, rng).coeffs for _ in range(3)])
+    mf.series_coefficients(grid, stack, 5)
     assert sizes() == before
 
 
@@ -147,29 +180,25 @@ def test_batched_coefficients_match_single_states(key, m, tab_name, rng):
     rows[3][0, 1] = np.nan
     rows[3][0, 2] = np.inf
     Y = np.stack(rows + [0.5 * rows[0]])
-    for assume_order in (True, False):
-        mf = ModifiedField(model, make_tableau(tab_name), m, n_max=5, assume_order=assume_order)
-        for j in range(1, 6):
-            # the non-finite row is never evaluated, so nothing overflows
-            with np.errstate(over="raise", invalid="raise", divide="raise"):
-                got = mf.coefficients(j, grid, Y)
-            want = np.stack([mf.coefficient(j, FourierState(grid, y)).coeffs for y in Y])
-            assert same_bits(got, want), (assume_order, j)
-            assert np.all(np.isnan(got[3]))
+    mf = ModifiedField(model, make_tableau(tab_name), m, n_max=5)
+    # the non-finite row is never evaluated, so nothing overflows
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        got = mf.series_coefficients(grid, Y, 5)
+    for j in range(1, 6):
+        want = np.stack([mf.coefficient(j, FourierState(grid, y)).coeffs for y in Y])
+        assert same_bits(got[j], want), j
+        assert np.all(np.isnan(got[j, 3]))
 
 
-def test_noise_bookkeeping(nls, rng):
-    tab = make_tableau("midpoint")
-    assumed = ModifiedField(nls, tab, assume_order=True)
-    raw = ModifiedField(nls, tab, assume_order=False)
-    assert assumed.field_noise(2) == 0.0
-    assert raw.field_noise(2) > 0.0
-    assert assumed.field_noise(3) > assumed.field_noise(1)
-    # series noise grows with the truncation order
-    assert assumed.series_noise(0.1, 5) > assumed.series_noise(0.1, 3)
+def test_noise_floor_positive_and_grows_with_n(nls, rng):
     grid = nls.make_grid(3)
     s = random_state(grid, 1, rng)
-    assert assumed.measured_noise_abs(3, s) > 0.0
+    mf = ModifiedField(nls, make_tableau("midpoint"))
+    low = mf.noise_floor(s, 0.1, 3)
+    assert low > 0.0
+    assert mf.noise_floor(s, 0.1, 5) > low
+    # measured once: a later state does not move the floor
+    assert mf.noise_floor(random_state(grid, 1, rng), 0.1, 3) == low
 
 
 def test_series_eval_composition(nls, rng):
@@ -263,6 +292,28 @@ def test_energy_even_term_vanishes(nls, rng):
     tab = make_tableau("midpoint")
     terms = modified_hamiltonian_terms(nls, tab, s, 4)
     assert abs(terms[4]) < 1e-6 * max(1.0, abs(terms[3]))
+
+
+def test_nonlocal_energy_default_anchor(rng):
+    # V(rho) = 1/rho is singular at zero mass, so a line integral from the
+    # zero state leaves the domain; the default anchor is the plane wave of
+    # the same mass, and H-tilde stays flat along a midpoint trajectory
+    model = make_model("nonlocal_nls")
+    grid = model.make_grid(3)
+    s = random_state(grid, 1, np.random.default_rng(0), scale=0.5)
+    a = model.anchor(s)
+    assert model._mass(a.coeffs) == pytest.approx(model._mass(s.coeffs), rel=1e-14)
+    assert model.pairing(a, s) >= 0.0
+    tab = make_tableau("midpoint")
+    mf = ModifiedField(model, tab)
+    h = 0.05
+    stepper = Stepper(model, grid, tab, h, config=StageSolveConfig(tol=1e-14))
+    u = s
+    vals = [modified_hamiltonian_eval(model, tab, u, h, 3, mf=mf)]
+    for _ in range(40):
+        u = stepper.step(u)
+        vals.append(modified_hamiltonian_eval(model, tab, u, h, 3, mf=mf))
+    assert max(abs(v - vals[0]) for v in vals) < 1e-12 * abs(vals[0])
 
 
 def test_energy_correction_scales_at_method_order(nls, rng):
