@@ -127,14 +127,17 @@ class ModifiedField:
             return out
         return self._log(grid, Y, n, central=True)
 
+    def coefficients(self, j: int, grid: FourierGrid, Y: np.ndarray) -> np.ndarray:
+        """f^j at each state of the stack Y, shape (N, components, band)."""
+        return self.series_coefficients(grid, Y, j)[j]
+
     def coefficient(self, j: int, U: FourierState) -> FourierState:
         """The coefficient f^j evaluated at U.
 
-        A one-state wrapper over series_coefficients, kept because the
-        benchmark tracer binds it by name.
+        A one-state wrapper over coefficients, kept because the benchmark
+        tracer binds it by name.
         """
-        fj = self.series_coefficients(U.grid, U.coeffs[np.newaxis], j)[j, 0]
-        return FourierState(U.grid, fj)
+        return FourierState(U.grid, self.coefficients(j, U.grid, U.coeffs[np.newaxis])[0])
 
     def forward_coefficients(self, grid: FourierGrid, Y: np.ndarray, n: int) -> np.ndarray:
         """f^0 = 0, f^1 .. f^n from the forward logarithm, even orders computed."""

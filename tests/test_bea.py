@@ -125,8 +125,7 @@ def test_coefficient_repeatable_without_per_state_storage(nls, rng):
     before = sizes()
     for _ in range(4):
         mf.coefficient(5, random_state(grid, 1, rng))
-    stack = np.stack([random_state(grid, 1, rng).coeffs for _ in range(3)])
-    mf.series_coefficients(grid, stack, 5)
+    mf.coefficients(5, grid, np.stack([random_state(grid, 1, rng).coeffs for _ in range(3)]))
     assert sizes() == before
 
 
@@ -181,13 +180,13 @@ def test_batched_coefficients_match_single_states(key, m, tab_name, rng):
     rows[3][0, 2] = np.inf
     Y = np.stack(rows + [0.5 * rows[0]])
     mf = ModifiedField(model, make_tableau(tab_name), m, n_max=5)
-    # the non-finite row is never evaluated, so nothing overflows
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
-        got = mf.series_coefficients(grid, Y, 5)
     for j in range(1, 6):
+        # the non-finite row is never evaluated, so nothing overflows
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = mf.coefficients(j, grid, Y)
         want = np.stack([mf.coefficient(j, FourierState(grid, y)).coeffs for y in Y])
-        assert same_bits(got[j], want), j
-        assert np.all(np.isnan(got[j, 3]))
+        assert same_bits(got, want), j
+        assert np.all(np.isnan(got[3]))
 
 
 def test_noise_floor_positive_and_grows_with_n(nls, rng):
