@@ -47,6 +47,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.random  # loaded at import, not in a study run (see spectral.py)
 
 from .. import __version__
 from ..errors import ConfigError, DomainError, HambeaError

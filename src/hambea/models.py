@@ -43,9 +43,8 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
-from scipy.integrate import solve_ivp
 
+from ._dop853 import solve_ivp
 from .errors import DomainError
 from ._seriesops import (
     series_mul,
@@ -213,6 +212,19 @@ class RealChart:
 # model base class
 
 
+def _fast_fft_len(target: int) -> int:
+    """Smallest 2^a 3^b 5^c 7^d 11^e >= target, a length pocketfft transforms fast."""
+    n = target
+    while True:
+        rest = n
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
+
+
 class PdeModel:
     name: str
     q: float
@@ -230,7 +242,7 @@ class PdeModel:
         if n_phys is None:
             deg = self._product_degree()
             factor = 6 if deg is None else max(2, deg)
-            n_phys = scipy.fft.next_fast_len(factor * n_modes + 1)
+            n_phys = _fast_fft_len(factor * n_modes + 1)
         return FourierGrid(n_modes, n_phys)
 
     def eigenvalues(self, grid: FourierGrid) -> np.ndarray:
@@ -680,10 +692,7 @@ def reference_flow(
         f = model.apply_A(s) + model.apply_B(s, m)
         return chart.to_real(f)
 
-    sol = solve_ivp(rhs, (0.0, T), z0, method="DOP853", rtol=rtol, atol=atol)
-    if not sol.success:
-        raise RuntimeError(f"reference integration failed: {sol.message}")
-    return chart.from_real(sol.y[:, -1])
+    return chart.from_real(solve_ivp(rhs, (0.0, T), z0, rtol=rtol, atol=atol).y)
 
 
 def measure_force_scale(

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import numpy.polynomial  # loaded at import, not in a study run (see spectral.py)
 
 from .errors import ConvergenceError, PoleError
 from .models import PdeModel, RealChart, fd_jacobian

@@ -31,6 +31,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# numpy loads numpy.fft on first use; import it with the package instead of
+# inside the first transform
+import numpy.fft
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 

@@ -33,6 +33,19 @@ def test_model_metadata(nls, wave_cubic):
     assert nonlocal_.q == 2.0 and nonlocal_.components == 1
 
 
+def test_padded_length_is_scipy_fast_len(nls, wave_sg):
+    from scipy.fft import next_fast_len
+
+    from hambea.models import _fast_fft_len
+
+    assert [_fast_fft_len(t) for t in range(1, 5001)] == [
+        next_fast_len(t) for t in range(1, 5001)
+    ]
+    for model, factor in ((nls, 4), (wave_sg, 6)):
+        for k in (1, 3, 8, 16, 64, 100):
+            assert model.make_grid(k).n_phys == next_fast_len(factor * k + 1)
+
+
 def test_make_model_rejects_unknown():
     with pytest.raises(ValueError):
         make_model("kdv")

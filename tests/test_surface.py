@@ -2,7 +2,9 @@
 
 bench/spans.py wraps hambea's layer entry points by name from outside the
 package; deleting or renaming one of them breaks every traced benchmark run
-at start-up.  These checks catch that in the tier-1 suite.
+at start-up.  These checks catch that in the tier-1 suite, together with
+what set-up imports: numpy and nothing heavier, and nothing left for a
+study run to import.
 """
 
 import json
@@ -27,6 +29,43 @@ print(json.dumps({"want": [n for n, _u, _b in spans.LAYER_METRICS], "got": sorte
 """
 
 
+_RUN_IMPORTS = """
+import json, sys
+import hambea.harness.cli as cli
+import hambea.harness.config as hconfig
+cfg = hconfig.load_config(sys.argv[1])
+ready = set(sys.modules)
+for i, study in enumerate(sys.argv[3:]):
+    cli._STUDIES[study](cfg, out_dir=f"{sys.argv[2]}/{i}", seed=7)
+print(json.dumps({"scipy": sorted(m for m in ready if m.split(".")[0] == "scipy"),
+                  "new": sorted(set(sys.modules) - ready)}))
+"""
+
+
+def _fresh_python(code, *args):
+    env = dict(os.environ)
+    path = [str(ROOT / "src"), str(ROOT / "bench"), env.get("PYTHONPATH", "")]
+    env.update(PYTHONPATH=os.pathsep.join(p for p in path if p), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, cwd=ROOT
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_setup_imports_no_scipy_and_runs_import_nothing(tmp_path):
+    # Set-up (import and config) loads numpy and nothing heavier, and a
+    # study run imports nothing more: a lazy import there would be paid
+    # inside every timed run.
+    from test_harness import base_config, write_config
+
+    out = _fresh_python(
+        _RUN_IMPORTS, write_config(tmp_path, base_config()), str(tmp_path),
+        "integrate", "drift", "bea",
+    )
+    assert out == {"scipy": [], "new": []}
+
+
 def test_public_names_resolve():
     missing = [name for name in hambea.__all__ if not hasattr(hambea, name)]
     assert missing == []
@@ -35,13 +74,6 @@ def test_public_names_resolve():
 
 def test_tracer_binds_every_layer():
     # in a fresh interpreter: install() patches hambea's modules in place
-    env = dict(os.environ)
-    path = [str(ROOT / "src"), str(ROOT / "bench"), env.get("PYTHONPATH", "")]
-    env.update(PYTHONPATH=os.pathsep.join(p for p in path if p), PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run(
-        [sys.executable, "-c", _PROBE], capture_output=True, text=True, env=env, cwd=ROOT
-    )
-    assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    out = _fresh_python(_PROBE)
     assert RUN_ADDED <= set(out["want"])
     assert sorted(set(out["want"]) - RUN_ADDED - set(out["got"])) == []
