@@ -105,10 +105,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (ConvergenceError, PoleError, DomainError, OrderCapError) as e:
-        print(f"numerical failure: {e}", file=sys.stderr)
-        return 3
-    except (RuntimeError, FloatingPointError) as e:
+    except (ConvergenceError, PoleError, DomainError, OrderCapError, FloatingPointError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
     except OSError as e:

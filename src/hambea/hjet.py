@@ -14,7 +14,7 @@ every order-j stage coefficient is determined explicitly by lower ones,
 
 because the nonlinearity enters with an explicit factor of h.  [B(W)]_i is
 the i-th series coefficient of the nonlinearity composed with the stage jet,
-evaluated through the same pseudospectral path as a plain force call.  The
+from the model's series lift: one call per order, transforming only W_i.  The
 update coefficients follow from Psi_j = U_j + b^T (A W_{j-1} + [B(W)]_{j-1}).
 A plain state is the jet (U, 0, 0, ...), and feeding a jet back in gives the
 jets of the orbit Psi^i(U), from which bea builds the modified field.
@@ -101,13 +101,14 @@ def expand_step_map(
     um = np.zeros((order + 1,) + series.shape[1:], dtype=complex)
     um[: series.shape[0]] = model._masked(grid, series, m)
     blocks = model.a_blocks(grid)  # (band, c, c)
+    lift = model.series_lift(grid, m)
     # stage coefficients W[j] of shape (..., s, c, band), W_j = U_j + a (...)
     W = np.zeros(um.shape[:-2] + (tab.stages,) + um.shape[-2:], dtype=complex)
     W[...] = um[..., np.newaxis, :, :]
     psi = um.copy()
     for j in range(1, order + 1):
         rhs = np.einsum("kij,...sjk->...sik", blocks, W[j - 1])
-        rhs = rhs + model.force_series_coeffs(grid, W[:j], m)[j - 1]
+        rhs = rhs + lift(W[j - 1])
         W[j] += np.einsum("il,...lck->...ick", tab.a, rhs)
         psi[j] += np.einsum("l,...lck->...ck", tab.b, rhs)
     return HJet(grid, psi)

@@ -29,7 +29,11 @@ finite differences.
 Each model has one nonlinearity, ``force(grid, coeffs, m)``, on coefficient
 arrays of shape (..., components, band): leading axes are batch axes, so a
 stack of Runge-Kutta stages goes through one FFT pair.  ``apply_B`` is the
-single-state wrapper around it shared by every model.  Pointwise forces are
+single-state wrapper around it shared by every model.  ``series_lift`` gives
+its Taylor coefficients along a power series of states one order per call,
+transforming only the newest coefficient and extending running series
+(products, sin/cos, a reciprocal) by one term; see Griewank-Walther,
+Evaluating Derivatives (2008), ch. 13.  Pointwise forces are
 evaluated pseudospectrally: transform to the physical grid, apply the force,
 transform back, restrict to the band.  Grids created through ``make_grid``
 are padded so that polynomial products of band-limited states are alias-free
@@ -46,12 +50,7 @@ import numpy as np
 
 from ._dop853 import solve_ivp
 from .errors import DomainError
-from ._seriesops import (
-    series_mul,
-    series_power,
-    series_reciprocal,
-    series_sin,
-)
+from ._seriesops import product_coeff, reciprocal_coeff, sincos_coeff
 from .spectral import (
     FourierGrid,
     FourierState,
@@ -98,12 +97,19 @@ class PolyPotential:
             out = out + j * c * u ** (j - 1)
         return out
 
-    def derivative_series(self, u: np.ndarray) -> np.ndarray:
-        """V'(u) for a truncated power series u (leading axis = series order)."""
-        out = np.zeros_like(u)
-        for j, c in self.coeffs.items():
-            out = out + j * c * series_power(u, j - 1)
-        return out
+    def derivative_lift(self):
+        """Closure u_j -> [V'(u)]_j over a series u, keeping the series of u^p, p < degree."""
+        powers = [[] for _ in range(self.degree)]
+
+        def lift(u_j):
+            powers[1].append(u_j)
+            j = len(powers[1]) - 1
+            for p in range(2, self.degree):
+                powers[p].append(product_coeff(powers[p - 1], powers[1], j))
+            terms = (p * c * powers[p - 1][j] for p, c in self.coeffs.items())
+            return sum(terms, np.zeros_like(u_j))
+
+        return lift
 
     def params_dict(self) -> dict:
         return {"kind": "poly", "coeffs": {str(j): c for j, c in self.coeffs.items()}}
@@ -123,8 +129,18 @@ class SineGordonPotential:
     def derivative(self, u: np.ndarray) -> np.ndarray:
         return self.gamma * np.sin(u)
 
-    def derivative_series(self, u: np.ndarray) -> np.ndarray:
-        return self.gamma * series_sin(u)
+    def derivative_lift(self):
+        """Closure u_j -> [V'(u)]_j over a series u, keeping the series of sin u and cos u."""
+        u, s, c = [], [], []
+
+        def lift(u_j):
+            u.append(u_j)
+            s_j, c_j = sincos_coeff(u, s, c, len(s))
+            s.append(s_j)
+            c.append(c_j)
+            return self.gamma * s_j
+
+        return lift
 
     def params_dict(self) -> dict:
         return {"kind": "sine_gordon", "gamma": self.gamma}
@@ -278,17 +294,25 @@ class PdeModel:
         """Band-projected nonlinearity P_m B(P_m U) of one state."""
         return FourierState(state.grid, self.force(state.grid, state.coeffs, m))
 
+    def series_lift(self, grid: FourierGrid, m: float | None):
+        """Closure W_j -> [P_m B(P_m W(h))]_j on (..., components, band), for j = 0, 1, ...
+
+        Each call transforms W_j only; passed planes must not change afterwards.
+        """
+        raise NotImplementedError
+
     def force_series_coeffs(
         self, grid: FourierGrid, coeff_series: np.ndarray, m: float | None
     ) -> np.ndarray:
-        """B composed with a truncated power series of states.
+        """B composed with a truncated power series of states, via series_lift.
 
         coeff_series has shape (order+1, ..., components, band_size) with batch
         axes after the series axis; entry j is the j-th series coefficient.
-        Returns the series of B(P_m U(h)) restricted to the band of radius m,
-        using the same pseudospectral path as force order by order.
+        No library path calls it: the tests check the lift through it, and the
+        benchmark tracer binds it by name.
         """
-        raise NotImplementedError
+        lift = self.series_lift(grid, m)
+        return np.stack([lift(w) for w in coeff_series])
 
     # -- energy and structure --------------------------------------------
 
@@ -328,6 +352,11 @@ class PdeModel:
         out = coeffs.copy()
         out[..., ~band_mask(grid, m, self.q)] = 0.0
         return out
+
+    def _mask_fn(self, grid: FourierGrid, m: float | None):
+        """x -> x times the band mask of radius m; the identity when it keeps every mode."""
+        mask = band_mask(grid, m, self.q)
+        return (lambda x: x) if mask.all() else (lambda x: x * mask)
 
 
 # ---------------------------------------------------------------------------
@@ -376,18 +405,19 @@ class WaveModel(PdeModel):
         out[..., 0, K] = cm[..., 1, K]  # zero-mode coupling from the Jordan block
         return self._masked(grid, out, m)
 
-    def force_series_coeffs(
-        self, grid: FourierGrid, coeff_series: np.ndarray, m: float | None
-    ) -> np.ndarray:
-        mask = band_mask(grid, m, self.q)
-        cs = coeff_series * mask
-        K = grid.n_modes
-        u_phys = grid.to_phys(cs[..., 0, :]).real.astype(complex)
-        force = -self.potential.derivative_series(u_phys)
-        out = np.zeros_like(cs)
-        out[..., 1, :] = grid.to_coeffs(force)
-        out[..., 0, K] = cs[..., 1, K]
-        return out * mask
+    def series_lift(self, grid: FourierGrid, m: float | None):
+        mask, K = self._mask_fn(grid, m), grid.n_modes
+        dv = self.potential.derivative_lift()
+
+        def lift(w):
+            w = mask(w)
+            u_j = grid.to_phys(w[..., 0, :]).real.astype(complex)
+            out = np.zeros_like(w)
+            out[..., 1, :] = grid.to_coeffs(-dv(u_j))
+            out[..., 0, K] = w[..., 1, K]
+            return mask(out)
+
+        return lift
 
     def hamiltonian(self, state: FourierState) -> float:
         grid = state.grid
@@ -474,18 +504,25 @@ class NlsModel(_SchroedingerBase):
         force = -1j * self.lam * np.abs(u) ** (2 * self.sigma) * u
         return self._masked(grid, grid.to_coeffs(force)[..., np.newaxis, :], m)
 
-    def force_series_coeffs(
-        self, grid: FourierGrid, coeff_series: np.ndarray, m: float | None
-    ) -> np.ndarray:
-        mask = band_mask(grid, m, self.q)
-        cs = coeff_series * mask
-        if self.lam == 0.0:
-            return np.zeros_like(cs)
-        u = grid.to_phys(cs[..., 0, :])
-        mod2 = series_mul(u, np.conj(u))
-        force = -1j * self.lam * series_mul(series_power(mod2, self.sigma), u)
-        out = grid.to_coeffs(force)[..., np.newaxis, :]
-        return out * mask
+    def series_lift(self, grid: FourierGrid, m: float | None):
+        mask = self._mask_fn(grid, m)
+        u, ubar = [], []
+        mod2 = [[] for _ in range(self.sigma)]  # mod2[p]: the series of |u|^{2(p+1)}
+
+        def lift(w):
+            w = mask(w)
+            if self.lam == 0.0:
+                return np.zeros_like(w)
+            u.append(grid.to_phys(w[..., 0, :]))
+            ubar.append(np.conj(u[-1]))
+            j = len(u) - 1
+            for p in range(self.sigma):
+                lower = (u, ubar) if p == 0 else (mod2[p - 1], mod2[0])
+                mod2[p].append(product_coeff(*lower, j))
+            force = -1j * self.lam * (product_coeff(mod2[-1], u, j) if self.sigma else u[j])
+            return mask(grid.to_coeffs(force)[..., np.newaxis, :])
+
+        return lift
 
     def hamiltonian(self, state: FourierState) -> float:
         grid = state.grid
@@ -523,52 +560,47 @@ class NonlocalNlsModel(_SchroedingerBase):
     def _mass(self, coeffs: np.ndarray) -> float:
         return float(np.sum(np.abs(coeffs) ** 2))
 
+    def _check_mass(self, rho) -> None:
+        low = np.asarray(rho)[np.asarray(rho) < self.rho_min]
+        if low.size:
+            raise DomainError(
+                f"total mass {low[0]:.3e} below the admissible floor {self.rho_min:.3e}"
+            )
+
     def force(
         self, grid: FourierGrid, coeffs: np.ndarray, m: float | None = None
     ) -> np.ndarray:
         cm = self._masked(grid, coeffs, m)
         # mass per state, each summed over its own contiguous copy as for one state
         rho = np.sum(np.abs(np.ascontiguousarray(cm)) ** 2, axis=(-2, -1), keepdims=True)
-        low = rho[rho < self.rho_min]
-        if low.size:
-            raise DomainError(
-                f"total mass {low[0]:.3e} below the admissible floor {self.rho_min:.3e}"
-            )
+        self._check_mass(rho)
         # V'(rho) = -1/rho^2, force = -i V'(rho) u
         return (1j / rho**2) * cm
 
-    def force_series_coeffs(
-        self, grid: FourierGrid, coeff_series: np.ndarray, m: float | None
-    ) -> np.ndarray:
-        mask = band_mask(grid, m, self.q)
-        cs = coeff_series * mask
-        order = cs.shape[0]
-        rho = np.einsum("a...cm,b...cm->ab...", cs, np.conj(cs))
-        rho_series = np.array(
-            [sum(rho[a, j - a] for a in range(j + 1)) for j in range(order)]
-        )
-        low = rho_series[0].real[rho_series[0].real < self.rho_min]
-        if low.size:
-            raise DomainError(
-                f"total mass {low[0]:.3e} below the admissible floor {self.rho_min:.3e}"
-            )
-        inv = series_reciprocal(rho_series)
-        vprime = -series_mul(inv, inv)[..., np.newaxis, np.newaxis]
-        out = np.zeros_like(cs)
-        for j in range(order):
-            for a in range(j + 1):
-                out[j] += -1j * vprime[a] * cs[j - a]
-        return out * mask
+    def series_lift(self, grid: FourierGrid, m: float | None):
+        mask = self._mask_fn(grid, m)
+        w, wbar, rho, inv, ivp = [], [], [], [], []  # ivp: -i V'(rho) = i / rho^2
+
+        def lift(w_j):
+            w.append(mask(w_j))
+            wbar.append(np.conj(w[-1]))
+            j = len(w) - 1
+            pairs = (np.einsum("...cm,...cm->...", w[a], wbar[j - a]) for a in range(j + 1))
+            rho.append(sum(pairs))
+            if j == 0:
+                self._check_mass(rho[0].real)
+            inv.append(reciprocal_coeff(rho, inv, j))
+            ivp.append(-1j * -product_coeff(inv, inv, j)[..., np.newaxis, np.newaxis])
+            return mask(product_coeff(ivp, w, j))
+
+        return lift
 
     def hamiltonian(self, state: FourierState) -> float:
         grid = state.grid
         k = grid.wavenumbers.astype(float)
         ux = grid.to_phys(1j * k * state.coeffs[0])
         rho = self._mass(state.coeffs)
-        if rho < self.rho_min:
-            raise DomainError(
-                f"total mass {rho:.3e} below the admissible floor {self.rho_min:.3e}"
-            )
+        self._check_mass(rho)
         return float(np.real(grid.quadrature(0.5 * np.abs(ux) ** 2))) + 0.5 / rho
 
     def anchor(self, state: FourierState) -> FourierState:

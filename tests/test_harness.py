@@ -393,6 +393,19 @@ def test_cli_numerical_failure_exit_3(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_cli_programming_error_propagates(tmp_path, monkeypatch):
+    # a RuntimeError is no numerical failure: it surfaces with its traceback
+    import hambea.harness.cli as cli
+
+    def broken_study(*_args, **_kwargs):
+        raise RuntimeError("bug in a study")
+
+    monkeypatch.setitem(cli._STUDIES, "integrate", broken_study)
+    cfg_path = write_config(tmp_path, base_config())
+    with pytest.raises(RuntimeError, match="bug in a study"):
+        cli_main(["integrate", "--config", cfg_path, "--out", str(tmp_path / "o")])
+
+
 def test_cli_io_failure_exit_4(tmp_path, capsys):
     blocker = tmp_path / "blocked"
     blocker.write_text("file, not a directory", encoding="utf-8")

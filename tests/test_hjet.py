@@ -16,6 +16,10 @@ from hambea import (
     y_norm,
 )
 
+from hambea.hjet import ORDER_CAP
+from hambea.models import NlsModel, NonlocalNlsModel, SineGordonPotential, WaveModel
+from hambea.spectral import FourierGrid, band_mask
+
 from conftest import MODEL_SPECS, fit_loglog_slope, random_state, same_bits
 
 
@@ -42,31 +46,187 @@ def test_jet_shape_guard(nls):
 # -- nonlinearity lift --------------------------------------------------------
 
 
-def test_lift_of_constant_jet(nls, rng):
+@pytest.mark.parametrize("key", list(MODEL_SPECS))
+def test_lift_of_constant_jet(key, rng):
     # B(U(h)) with U constant in h: coefficient 0 is B(U), the rest vanish
-    grid = nls.make_grid(4)
-    s = random_state(grid, 1, rng)
+    model = make_model(*MODEL_SPECS[key])
+    grid = model.make_grid(4)
+    s = random_state(grid, model.components, rng, real_field=model.is_real_field)
     const = np.zeros((4,) + s.coeffs.shape, dtype=complex)
     const[0] = s.coeffs
-    lifted = nls.force_series_coeffs(grid, const, None)
-    assert np.max(np.abs(lifted[0] - nls.apply_B(s).coeffs)) < 1e-13
+    lifted = model.force_series_coeffs(grid, const, None)
+    assert np.max(np.abs(lifted[0] - model.apply_B(s).coeffs)) < 1e-13
     assert np.max(np.abs(lifted[1:])) < 1e-14
 
 
-def test_lift_matches_evaluated_force(nls, rng):
+@pytest.mark.parametrize("key", list(MODEL_SPECS))
+def test_lift_matches_evaluated_force(key, rng):
     # series of B composed with a polynomial path, checked against pointwise B
-    grid = nls.make_grid(4)
-    base = random_state(grid, 1, rng)
-    dirn = random_state(grid, 1, rng, scale=0.2)
+    model = make_model(*MODEL_SPECS[key])
+    grid = model.make_grid(4)
+    base = random_state(grid, model.components, rng, real_field=model.is_real_field)
+    dirn = random_state(grid, model.components, rng, scale=0.2, real_field=model.is_real_field)
+    if key == "nonlocal-nls":
+        assert model._mass(base.coeffs) > 10 * model.rho_min
     path = HJet(grid, np.stack([base.coeffs, dirn.coeffs]))  # U + h V, order 1
-    lifted = HJet(grid, nls.force_series_coeffs(grid, path.coeffs, None))
+    lifted = HJet(grid, model.force_series_coeffs(grid, path.coeffs, None))
     hs = [0.02, 0.01, 0.005]
     errs = []
     for h in hs:
-        exact = nls.apply_B(path.evaluate(h))
-        errs.append(y_norm(exact - lifted.evaluate(h), nls.q))
-    # the lift is order-matched to the input (order 1): remainder is O(h^2)
-    assert fit_loglog_slope(hs, errs) > 1.8
+        exact = model.apply_B(path.evaluate(h))
+        errs.append(y_norm(exact - lifted.evaluate(h), model.q))
+    if key == "nls-free":
+        assert max(errs) == 0.0  # B = 0 exactly
+    else:
+        # the lift is order-matched to the input (order 1): remainder is O(h^2)
+        assert fit_loglog_slope(hs, errs) > 1.8
+
+
+# The whole-series path the incremental lift replaced, kept as its bitwise
+# reference: every order recomputes the series of B from scratch.
+
+
+def _series_mul(a, b):
+    n = min(a.shape[0], b.shape[0])
+    out = np.zeros((n,) + np.broadcast_shapes(a.shape[1:], b.shape[1:]), dtype=complex)
+    for j in range(n):
+        for i in range(j + 1):
+            out[j] += a[i] * b[j - i]
+    return out
+
+
+def _series_power(a, n):
+    out = np.zeros_like(np.asarray(a, dtype=complex))
+    out[0] = 1.0
+    for _ in range(n):
+        out = _series_mul(out, a)
+    return out
+
+
+def _series_reciprocal(a):
+    a = np.asarray(a, dtype=complex)
+    out = np.zeros_like(a)
+    out[0] = 1.0 / a[0]
+    for j in range(1, a.shape[0]):
+        acc = np.zeros_like(a[0])
+        for i in range(1, j + 1):
+            acc = acc + a[i] * out[j - i]
+        out[j] = -out[0] * acc
+    return out
+
+
+def _series_sin(a):
+    a = np.asarray(a, dtype=complex)
+    s = np.zeros_like(a)
+    c = np.zeros_like(a)
+    s[0] = np.sin(a[0])
+    c[0] = np.cos(a[0])
+    for j in range(1, a.shape[0]):
+        ss = np.zeros_like(a[0])
+        cc = np.zeros_like(a[0])
+        for i in range(1, j + 1):
+            ss = ss + i * a[i] * c[j - i]
+            cc = cc + i * a[i] * s[j - i]
+        s[j] = ss / j
+        c[j] = -cc / j
+    return s
+
+
+def _whole_series_force(model, grid: FourierGrid, coeff_series, m):
+    mask = band_mask(grid, m, model.q)
+    cs = coeff_series * mask
+    if isinstance(model, WaveModel):
+        K = grid.n_modes
+        u = grid.to_phys(cs[..., 0, :]).real.astype(complex)
+        pot = model.potential
+        if isinstance(pot, SineGordonPotential):
+            dv = pot.gamma * _series_sin(u)
+        else:
+            dv = np.zeros_like(u)
+            for j, c in pot.coeffs.items():
+                dv = dv + j * c * _series_power(u, j - 1)
+        out = np.zeros_like(cs)
+        out[..., 1, :] = grid.to_coeffs(-dv)
+        out[..., 0, K] = cs[..., 1, K]
+        return out * mask
+    if isinstance(model, NlsModel):
+        if model.lam == 0.0:
+            return np.zeros_like(cs)
+        u = grid.to_phys(cs[..., 0, :])
+        mod2 = _series_mul(u, np.conj(u))
+        force = -1j * model.lam * _series_mul(_series_power(mod2, model.sigma), u)
+        return grid.to_coeffs(force)[..., np.newaxis, :] * mask
+    assert isinstance(model, NonlocalNlsModel)
+    order = cs.shape[0]
+    rho = np.einsum("a...cm,b...cm->ab...", cs, np.conj(cs))
+    rho_series = np.array([sum(rho[a, j - a] for a in range(j + 1)) for j in range(order)])
+    inv = _series_reciprocal(rho_series)
+    vprime = -_series_mul(inv, inv)[..., np.newaxis, np.newaxis]
+    out = np.zeros_like(cs)
+    for j in range(order):
+        for a in range(j + 1):
+            out[j] += -1j * vprime[a] * cs[j - a]
+    return out * mask
+
+
+def _lift_data(model, grid, rng, order):
+    """Series of order+1 random states (real fields for wave) with decaying terms."""
+    return np.stack(
+        [
+            random_state(grid, model.components, rng, real_field=model.is_real_field).coeffs
+            * 0.5**j
+            for j in range(order + 1)
+        ]
+    )
+
+
+LIFT_SPECS = dict(
+    MODEL_SPECS,
+    **{"nls-sigma2": ("nls", {"sigma": 2, "lam": 1.0}), "nls-sigma0": ("nls", {"sigma": 0})},
+)
+
+
+@pytest.mark.parametrize("batch", [(1,), (2, 3)])
+@pytest.mark.parametrize("m", [None, 4.0])
+@pytest.mark.parametrize("key", list(LIFT_SPECS))
+def test_lift_matches_whole_series_bitwise(key, m, batch, rng):
+    model = make_model(*LIFT_SPECS[key])
+    grid = model.make_grid(4)
+    n = int(np.prod(batch))
+    series = np.stack([_lift_data(model, grid, rng, ORDER_CAP) for _ in range(n)], axis=1)
+    series = series.reshape((ORDER_CAP + 1,) + batch + series.shape[2:])
+    lifted = model.force_series_coeffs(grid, series, m)
+    for order in range(ORDER_CAP + 1):
+        assert np.array_equal(
+            lifted[: order + 1], _whole_series_force(model, grid, series[: order + 1], m)
+        )
+
+
+@pytest.mark.parametrize("key", ["nls-cubic", "nls-quintic", "wave-poly", "sine-gordon"])
+def test_jet_transforms_one_plane_per_order(key, rng, monkeypatch):
+    # each order of the step-map jet transforms only the newest stage plane
+    model = make_model(*MODEL_SPECS[key])
+    grid = model.make_grid(4)
+    tab = make_tableau("gauss2")
+    Y = np.stack(
+        [
+            random_state(grid, model.components, rng, real_field=model.is_real_field).coeffs
+            for _ in range(3)
+        ]
+    )
+    rows = {"to_phys": 0, "to_coeffs": 0}
+    for name in rows:
+        original = getattr(FourierGrid, name)
+
+        def counted(self, x, _name=name, _original=original):
+            rows[_name] += int(np.prod(np.shape(x)[:-1]))
+            return _original(self, x)
+
+        monkeypatch.setattr(FourierGrid, name, counted)
+    order = 6
+    expand_step_map(model, tab, Y, 4.0, order=order, grid=grid)
+    per_order = Y.shape[0] * tab.stages
+    assert rows == {"to_phys": order * per_order, "to_coeffs": order * per_order}
 
 
 # -- exact step-map jets ------------------------------------------------------
