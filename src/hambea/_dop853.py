@@ -8,6 +8,9 @@ tableau, error norm, step-size controller, minimum step, rtol floor and
 starting-step rule, and the same order of floating-point operations, so its
 results equal scipy's bit for bit (tests/test_dop853.py checks that).
 
+The step loop is a coroutine that yields each (t, y) it needs f at.  solve_ivp
+drives one; solve_lockstep drives several with one stacked call per round.
+
 Coefficients and algorithm: Hairer, Norsett and Wanner, Solving Ordinary
 Differential Equations I, sec. II.4 (starting step) and II.10 (DOP853),
 as transcribed in scipy/integrate/_ivp/dop853_coefficients.py and rk.py
@@ -18,7 +21,7 @@ BSD-3-Clause license).
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,8 +110,8 @@ def _rms(x: np.ndarray) -> float:
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def _initial_step(fun, t0, y0, f0, t_bound, direction, rtol, atol):
-    """Starting step from the sizes of y0, f0 and one Euler probe (HNW I, II.4)."""
+def _initial_step(t0, y0, f0, t_bound, direction, rtol, atol):
+    """Starting step from y0, f0 and one Euler probe, yielded (HNW I, II.4)."""
     interval_length = abs(t_bound - t0)
     if interval_length == 0.0:
         return 0.0
@@ -121,7 +124,7 @@ def _initial_step(fun, t0, y0, f0, t_bound, direction, rtol, atol):
         h0 = 0.01 * d0 / d1
     h0 = min(h0, interval_length)
     y1 = y0 + h0 * direction * f0
-    f1 = fun(t0 + h0 * direction, y1)
+    f1 = np.asarray((yield t0 + h0 * direction, y1), dtype=float)
     d2 = _rms((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -142,30 +145,19 @@ def _error_norm(K: np.ndarray, h: float, scale: np.ndarray) -> float:
     return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
 
 
-def solve_ivp(
-    fun: Callable[[float, np.ndarray], np.ndarray],
-    t_span: tuple[float, float],
-    y0: np.ndarray,
-    rtol: float,
-    atol: float,
-    first_step: float | None = None,
-) -> OdeResult:
-    """Integrate y' = fun(t, y) over t_span; raises ConvergenceError when the
-    step size falls below ten times the spacing of floats at t."""
+def _dop853(t_span, y0, rtol, atol, first_step):
+    """DOP853 over t_span as a coroutine: yields each (t, y) it needs f at, is sent
+    f(t, y), returns the OdeResult, and raises ConvergenceError when the step
+    size falls below ten times the spacing of floats at t."""
     t, t_bound = map(float, t_span)
     y = np.asarray(y0).astype(float, copy=False)
     rtol = max(rtol, RTOL_FLOOR)
     direction = 1.0 if t_bound >= t else -1.0
-    nfev = 0
-
-    def f_of(t, y):
-        nonlocal nfev
-        nfev += 1
-        return np.asarray(fun(t, y), dtype=float)
-
-    f = f_of(t, y)
+    f = np.asarray((yield t, y), dtype=float)
+    nfev = 1
     if first_step is None:
-        h_abs = _initial_step(f_of, t, y, f, t_bound, direction, rtol, atol)
+        h_abs = yield from _initial_step(t, y, f, t_bound, direction, rtol, atol)
+        nfev += t != t_bound  # the probe's right-hand side
     elif not 0 < first_step <= abs(t_bound - t):
         raise ValueError(f"first_step {first_step} outside (0, {abs(t_bound - t)}]")
     else:
@@ -192,10 +184,11 @@ def solve_ivp(
             K[0] = f
             for s in range(1, N_STAGES):
                 dy = np.dot(K[:s].T, A[s, :s]) * h
-                K[s] = f_of(t + C[s] * h, y + dy)
+                K[s] = yield t + C[s] * h, y + dy
             y_new = y + h * np.dot(K[:-1].T, B)
-            f_new = f_of(t + h, y_new)
+            f_new = np.asarray((yield t + h, y_new), dtype=float)
             K[-1] = f_new
+            nfev += N_STAGES
 
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
             error_norm = _error_norm(K, h, scale)
@@ -212,3 +205,42 @@ def solve_ivp(
             rejected = True
         t, y, f = t_new, y_new, f_new
     return OdeResult(y, nfev)
+
+
+def solve_ivp(fun, t_span, y0, rtol, atol, first_step=None) -> OdeResult:
+    """Integrate y' = fun(t, y) over t_span; raises ConvergenceError when the
+    step size falls below ten times the spacing of floats at t."""
+    run = _dop853(t_span, y0, rtol, atol, first_step)
+    request = next(run)
+    while True:
+        try:
+            request = run.send(fun(*request))
+        except StopIteration as stop:
+            return stop.value
+
+
+class LockstepResult(NamedTuple):
+    results: list  # per member: its OdeResult, or the ConvergenceError that stopped it
+    nfev: int  # right-hand-side evaluations over all members
+
+
+def solve_lockstep(fun, problems) -> LockstepResult:
+    """Member i solves y' = fun([i], [t], y[np.newaxis])[0] for problems[i] =
+    (t_span, y0, rtol, atol, first_step) with the bits solve_ivp gives it alone,
+    but each round is one call fun(members, ts, Y) on the stacked pending states
+    of all running members.  A member whose step collapses leaves with its error."""
+    runs = [_dop853(*problem) for problem in problems]
+    results, nfev = [None] * len(runs), 0
+    pending = {i: next(run) for i, run in enumerate(runs)}
+    while pending:
+        members = list(pending)
+        ts = [pending[i][0] for i in members]
+        F = fun(members, ts, np.stack([pending[i][1] for i in members]))
+        nfev += len(members)
+        for i, f in zip(members, F):
+            try:
+                pending[i] = runs[i].send(f)
+            except (StopIteration, ConvergenceError) as end:
+                results[i] = end.value if isinstance(end, StopIteration) else end
+                del pending[i]
+    return LockstepResult(results, nfev)

@@ -39,10 +39,10 @@ import numpy as np
 import numpy.polynomial  # loaded at import, not in a study run (see spectral.py)
 import numpy.random  # loaded at import, not in a study run (see spectral.py)
 
-# modified_flow calls the integrator through this module global, because the
-# benchmark tracer rebinds bea.solve_ivp by name to count its nfev
-from ._dop853 import solve_ivp
-from .errors import OrderCapError
+# modified_flow calls the lockstep integrator as this module global, because the
+# benchmark tracer rebinds bea.solve_ivp by name to count its nfev (all members)
+from ._dop853 import solve_lockstep as solve_ivp
+from .errors import ConvergenceError, OrderCapError
 from .hjet import HJet, expand_step_map
 from .models import PdeModel
 from .rk import ButcherTableau
@@ -153,11 +153,8 @@ class ModifiedField:
         A one-state wrapper over series_coefficients, kept because the
         benchmark tracer binds it by name.
         """
-        fs = self.series_coefficients(U.grid, U.coeffs[np.newaxis], n)[:, 0]
-        out = fs[1]
-        for j in range(self.tab.order, n):
-            out = out + (h**j) * fs[j + 1]
-        return FourierState(U.grid, out)
+        fs = self.series_coefficients(U.grid, U.coeffs[np.newaxis], n)
+        return FourierState(U.grid, truncated_field(fs, [h], self.tab.order)[0])
 
     def noise_floor(self, U: FourierState, h: float, n: int) -> float:
         """Measured relative roundoff of f-tilde^n(.; h), in units of ||f^1||.
@@ -178,17 +175,26 @@ class ModifiedField:
         return out
 
 
+def truncated_field(fs: np.ndarray, hs, p: int) -> np.ndarray:
+    """f^1 + sum_{j=p}^{n-1} h^j f^{j+1} at each state of a coefficient stack
+    fs of shape (n+1, N, c, band), with its own step size hs[i] for state i."""
+    out = fs[1]
+    for j in range(p, fs.shape[0] - 1):
+        out = out + np.array([h**j for h in hs])[:, np.newaxis, np.newaxis] * fs[j + 1]
+    return out
+
+
 def modified_flow(
     model: PdeModel,
     tab: ButcherTableau,
     U: FourierState,
-    h: float,
+    h: float | list[float],
     n: int,
     m: float | None = None,
     mf: ModifiedField | None = None,
     rtol: float = 1e-13,
     atol: float = 1e-15,
-) -> FourierState:
+) -> FourierState | list:
     """Flow of the truncated modified field over one step [0, h].
 
     n = 1 reduces to reference integration of the band-truncated system.  The
@@ -198,25 +204,33 @@ def modified_flow(
     are floored at the measured roundoff of the series; without that floor
     the error controller chases roundoff it can never beat and spends more
     right-hand sides for no accuracy.
+
+    A sequence of h runs in lockstep (one stacked series_coefficients call per
+    round) and gives each flow, or the ConvergenceError that stopped it.
     """
+    hs = [h] if np.ndim(h) == 0 else list(h)
     if mf is None:
         mf = ModifiedField(model, tab, m, n_max=max(N_MAX_DEFAULT, n))
     chart = model.chart(U.grid, m)
     um = model.project(U, m) if m is not None else U
     z0 = chart.to_real(um)
 
-    noise = mf.noise_floor(um, h, n) * max(1.0, y_norm(mf.series_eval(um, h, 1), model.q))
+    size = max(1.0, y_norm(mf.series_eval(um, 0.0, 1), model.q))  # ||f^1||, h-free
     scale = max(1.0, float(np.linalg.norm(z0)))
-    rtol_eff = max(rtol, 5.0 * noise / scale)
-    atol_eff = max(atol, 0.5 * noise)
+    noises = [mf.noise_floor(um, hi, n) * size for hi in hs]
 
-    def rhs(_t, z):
+    def rhs(members, _t, Z):
         # overflow at rejected trial points is expected and answered with NaN
         with np.errstate(over="ignore", invalid="ignore"):
-            return chart.to_real(mf.series_eval(chart.from_real(z), h, n))
+            fs = mf.series_coefficients(um.grid, chart.real_to_coeffs(Z), n)
+            return chart.coeffs_to_real(truncated_field(fs, [hs[i] for i in members], tab.order))
 
-    sol = solve_ivp(rhs, (0.0, h), z0, rtol=rtol_eff, atol=atol_eff, first_step=h / 4.0)
-    return chart.from_real(sol.y)
+    tols = [(max(rtol, 5.0 * noise / scale), max(atol, 0.5 * noise)) for noise in noises]
+    sol = solve_ivp(rhs, [((0.0, hi), z0, *tol, hi / 4.0) for hi, tol in zip(hs, tols)])
+    flows = [r if isinstance(r, ConvergenceError) else chart.from_real(r.y) for r in sol.results]
+    if np.ndim(h) == 0 and isinstance(flows[0], ConvergenceError):
+        raise flows[0]
+    return flows if np.ndim(h) else flows[0]
 
 
 def _quad_nodes(nodes: int) -> tuple[np.ndarray, np.ndarray]:

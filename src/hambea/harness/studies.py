@@ -5,10 +5,10 @@ Every row carries the provenance prefix (config hash, code version, tableau
 id, stage tolerance) and the (n, m) actually used, so a CSV is interpretable
 on its own.  Floats are written with 17 significant digits and runs are
 deterministic: identical config and seed give byte-identical files.
-Parameter points run as an embarrassingly parallel map when threads > 1;
-results are gathered in submission order before writing.  A parameter point
-that fails numerically contributes a row with an error status instead of
-aborting the study.
+Parameter points run as an embarrassingly parallel map when threads > 1,
+gathered in submission order, except bea's embedding points: those of one n
+run as one lockstep integration whatever threads is.  A parameter point that
+fails numerically contributes a row with an error status instead of aborting.
 """
 
 from __future__ import annotations
@@ -315,17 +315,20 @@ def run_bea_verify(
     # -- embedding orders
     mfs = {n: ModifiedField(model, tab, m0, n_max=max(cfg.bea.n_max, n)) for n in cfg.bea.n}
 
-    def embed_point(point):
-        n, h = point
-        try:
-            psi = Stepper(model, grid, tab, h, m0, sscfg).step(base)
-            phi = modified_flow(model, tab, base, h, n, m0, mf=mfs[n])
-            return [n, h, y_norm(psi - phi, model.q), "ok"]
+    res = []
+    for n in cfg.bea.n:
+        try:  # every h of one n in one lockstep integration
+            phis = modified_flow(model, tab, base, cfg.run.h, n, m0, mf=mfs[n])
         except HambeaError as e:
-            return [n, h, None, f"error:{type(e).__name__}"]
-
-    points = [(n, h) for n in cfg.bea.n for h in cfg.run.h]
-    res = _pmap(embed_point, points, threads)
+            phis = [e] * len(cfg.run.h)
+        for h, phi in zip(cfg.run.h, phis):
+            try:
+                psi = Stepper(model, grid, tab, h, m0, sscfg).step(base)
+                if isinstance(phi, HambeaError):
+                    raise phi
+                res.append([n, h, y_norm(psi - phi, model.q), "ok"])
+            except HambeaError as e:
+                res.append([n, h, None, f"error:{type(e).__name__}"])
     slopes = {}
     for n in cfg.bea.n:
         hs = [r[1] for r in res if r[0] == n and r[3] == "ok" and r[2]]

@@ -15,8 +15,8 @@ from scipy.integrate import solve_ivp as scipy_solve_ivp
 
 import hambea.bea as bea
 import hambea.models as models
-from hambea import ConvergenceError, ModifiedField, make_tableau
-from hambea._dop853 import solve_ivp
+from hambea import ConvergenceError, make_tableau
+from hambea._dop853 import solve_ivp, solve_lockstep
 from hambea.harness import ExperimentConfig, run_bea_verify
 
 from conftest import random_state, same_bits
@@ -98,6 +98,35 @@ def _pin_to_scipy(monkeypatch, module):
     return calls
 
 
+def _member(fun, i):
+    """Right-hand side of lockstep member i alone, as a plain fun(t, y)."""
+    return lambda t, y: fun([i], [t], y[np.newaxis])[0]
+
+
+def _pin_lockstep_to_scipy(monkeypatch):
+    """Replace bea.solve_ivp, the lockstep driver, by one that checks each
+    member against scipy run alone on that member's problem.  Every call
+    records, per member, its nfev when it matches (for a failed member:
+    "error" when scipy fails too), and False otherwise."""
+    calls = []
+
+    def checked(fun, problems):
+        ours = solve_lockstep(fun, problems)
+        got = []
+        for i, r in enumerate(ours.results):
+            ref = _scipy(_member(fun, i), *problems[i])
+            if isinstance(r, ConvergenceError):
+                got.append("error" if not ref.success else False)
+            else:
+                same = same_bits(r.y, ref.y[:, -1]) and r.nfev == ref.nfev
+                got.append(r.nfev if same else False)
+        calls.append(got)
+        return ours
+
+    monkeypatch.setattr(bea, "solve_ivp", checked)
+    return calls
+
+
 def test_reference_flow_calls_match_scipy(monkeypatch, nls, wave_sg, rng):
     calls = _pin_to_scipy(monkeypatch, models)
     s = random_state(nls.make_grid(4), 1, rng)
@@ -109,13 +138,66 @@ def test_reference_flow_calls_match_scipy(monkeypatch, nls, wave_sg, rng):
 
 
 def test_modified_flow_calls_match_scipy(monkeypatch, nls, rng):
-    calls = _pin_to_scipy(monkeypatch, bea)
+    calls = _pin_lockstep_to_scipy(monkeypatch)
     s = random_state(nls.make_grid(3), 1, rng)
     tab = make_tableau("midpoint")
     for n in (1, 3, 5):
         bea.modified_flow(nls, tab, s, 0.05, n)
     bea.modified_flow(nls, tab, s, 0.1, 3, m=2.0)
-    assert calls == [True] * 4
+    assert all(len(c) == 1 and c[0] for c in calls) and len(calls) == 4
+    # several step sizes in lockstep: every member equals scipy alone, and
+    # the members run for different numbers of right-hand sides
+    hs = [0.2, 0.1, 0.0707, 0.05]
+    flows = bea.modified_flow(nls, tab, s, hs, 3)
+    nfevs = calls[-1]
+    assert all(nfevs) and len(set(nfevs)) > 1
+    for h, flow in zip(hs, flows):
+        assert same_bits(flow.coeffs, bea.modified_flow(nls, tab, s, h, 3).coeffs)
+
+
+def _lockstep_systems(count):
+    """count random systems, their right-hand side as one stacked call, and
+    their problems (t_span, y0, rtol, atol, first_step), one per member."""
+    systems = [_random_system(seed) for seed in range(count)]
+
+    def fun(members, ts, Y):
+        return np.stack([systems[i][0](t, y) for i, t, y in zip(members, ts, Y)])
+
+    problems = [
+        ((0.0, 0.4 + 0.3 * i), systems[i][1], 10.0 ** -(9 + i), 1e-13, 0.1 if i % 2 else None)
+        for i in range(count)
+    ]
+    return fun, problems
+
+
+def test_lockstep_members_match_solve_ivp_alone():
+    fun, problems = _lockstep_systems(4)
+    res = solve_lockstep(fun, problems)
+    alone = [solve_ivp(_member(fun, i), *p) for i, p in enumerate(problems)]
+    assert [r.nfev for r in res.results] == [a.nfev for a in alone]
+    assert len({a.nfev for a in alone}) == 4
+    assert all(same_bits(r.y, a.y) for r, a in zip(res.results, alone))
+    assert res.nfev == sum(a.nfev for a in alone)
+
+
+def test_lockstep_member_that_fails_mid_run_leaves_the_others_alone():
+    # member 1 turns NaN after t = 0.2: it leaves the batch with the error
+    # solve_ivp raises for it alone, and the others keep their bits
+    fun, problems = _lockstep_systems(4)
+
+    def failing(members, ts, Y):
+        F = fun(members, ts, Y)
+        F[[i == 1 and t > 0.2 for i, t in zip(members, ts)]] = np.nan
+        return F
+
+    res = solve_lockstep(failing, problems)
+    with pytest.raises(ConvergenceError) as err:
+        solve_ivp(_member(failing, 1), *problems[1])
+    assert isinstance(res.results[1], ConvergenceError)
+    assert res.results[1].iterations == err.value.iterations > 12
+    for i in (0, 2, 3):
+        alone = solve_ivp(_member(fun, i), *problems[i])
+        assert same_bits(res.results[i].y, alone.y) and res.results[i].nfev == alone.nfev
 
 
 # -- typed failure ------------------------------------------------------------
@@ -133,23 +215,44 @@ def test_nan_field_raises_convergence_error():
         solve_ivp(lambda t, y: y * np.nan, (0.0, 1.0), np.ones(3), rtol=1e-10, atol=1e-12)
 
 
-def _nan_series_at(monkeypatch, h_bad):
-    """series_eval returns NaN for the truncated field at step size h_bad."""
-    orig = ModifiedField.series_eval
+def _nan_field_at(monkeypatch, h_bad, after=0):
+    """The truncated field (n > 1) of every state with step size h_bad turns
+    NaN once after of its evaluations at h_bad have passed.  Both the
+    lockstep right-hand side of modified_flow and series_eval form the field
+    through bea.truncated_field."""
+    orig = bea.truncated_field
+    seen = [0]
 
-    def series_eval(self, U, h, n):
-        out = orig(self, U, h, n)
-        return out * np.nan if (h == h_bad and n > 1) else out
+    def truncated_field(fs, hs, p):
+        out = orig(fs, hs, p)
+        bad = (np.asarray(hs) == h_bad) & (fs.shape[0] > 2)
+        seen[0] += bool(bad.any())
+        return np.where(bad[:, np.newaxis, np.newaxis] & (seen[0] > after), np.nan, out)
 
-    monkeypatch.setattr(ModifiedField, "series_eval", series_eval)
+    monkeypatch.setattr(bea, "truncated_field", truncated_field)
 
 
 def test_modified_flow_failure_is_typed(monkeypatch, nls, rng):
-    _nan_series_at(monkeypatch, 0.05)
+    _nan_field_at(monkeypatch, 0.05)
     s = random_state(nls.make_grid(3), 1, rng)
     tab = make_tableau("midpoint")
     with pytest.raises(ConvergenceError):
         bea.modified_flow(nls, tab, s, 0.05, 3)
+
+
+def test_modified_flow_member_that_fails_leaves_the_others_as_alone(monkeypatch, nls, rng):
+    # the h = 0.0707 member of a lockstep modified flow fails part-way; the
+    # other members still equal scipy, and their own one-h runs, bit for bit
+    s = random_state(nls.make_grid(3), 1, rng)
+    tab = make_tableau("midpoint")
+    hs = [0.1, 0.0707, 0.05]
+    alone = {h: bea.modified_flow(nls, tab, s, h, 3).coeffs for h in hs}
+    calls = _pin_lockstep_to_scipy(monkeypatch)
+    _nan_field_at(monkeypatch, 0.0707, after=20)
+    flows = bea.modified_flow(nls, tab, s, hs, 3)
+    assert isinstance(flows[1], ConvergenceError) and calls[-1][1] == "error"
+    assert calls[-1][0] and calls[-1][2]
+    assert same_bits(flows[0].coeffs, alone[0.1]) and same_bits(flows[2].coeffs, alone[0.05])
 
 
 def test_failed_embedding_point_becomes_error_row(monkeypatch, tmp_path):
@@ -157,7 +260,7 @@ def test_failed_embedding_point_becomes_error_row(monkeypatch, tmp_path):
     d["model"]["band"] = 3
     d["run"]["h"] = [0.1, 0.0707, 0.05]
     cfg = ExperimentConfig.from_dict(d)
-    _nan_series_at(monkeypatch, 0.0707)
+    _nan_field_at(monkeypatch, 0.0707)
     run_bea_verify(cfg, out_dir=tmp_path)
     lines = (tmp_path / "bea_embedding.csv").read_text(encoding="utf-8").splitlines()
     header = lines[0].split(",")

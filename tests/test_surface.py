@@ -29,6 +29,19 @@ print(json.dumps({"want": [n for n, _u, _b in spans.LAYER_METRICS], "got": sorte
 """
 
 
+# a bea study traced as bench/worker.py traces it: the CLI imported first,
+# then the recorder installed over it
+_TRACED_BEA = """
+import json, sys
+import hambea.harness.cli as cli
+import hambea.harness.config as hconfig
+import spans
+rec = spans.install()
+cli._STUDIES["bea"](hconfig.load_config(sys.argv[1]), out_dir=sys.argv[2], seed=7)
+print(json.dumps(rec.layer_metrics()))
+"""
+
+
 _RUN_IMPORTS = """
 import json, sys
 import hambea.harness.cli as cli
@@ -77,3 +90,13 @@ def test_tracer_binds_every_layer():
     out = _fresh_python(_PROBE)
     assert RUN_ADDED <= set(out["want"])
     assert sorted(set(out["want"]) - RUN_ADDED - set(out["got"])) == []
+
+
+def test_tracer_reads_the_bea_layers(tmp_path):
+    # a rename on the modified-flow path would leave these at 0 in the traced
+    # benchmark run without failing it
+    from test_harness import base_config, write_config
+
+    got = _fresh_python(_TRACED_BEA, write_config(tmp_path, base_config()), str(tmp_path))
+    for name in ("bea.modified_flow.calls", "bea.modified_flow.nfev", "hjet.expand.calls"):
+        assert got[name] > 0, name
