@@ -8,8 +8,9 @@ tableau, error norm, step-size controller, minimum step, rtol floor and
 starting-step rule, and the same order of floating-point operations, so its
 results equal scipy's bit for bit (tests/test_dop853.py checks that).
 
-The step loop is a coroutine that yields each (t, y) it needs f at.  solve_ivp
-drives one; solve_lockstep drives several with one stacked call per round.
+The step loop is a coroutine that yields each (t, y) it needs f at.  Its one
+driver, solve_lockstep, runs one or several such problems with one stacked
+right-hand-side call per round; each member gets the bits it would get alone.
 
 Coefficients and algorithm: Hairer, Norsett and Wanner, Solving Ordinary
 Differential Equations I, sec. II.4 (starting step) and II.10 (DOP853),
@@ -207,18 +208,6 @@ def _dop853(t_span, y0, rtol, atol, first_step):
     return OdeResult(y, nfev)
 
 
-def solve_ivp(fun, t_span, y0, rtol, atol, first_step=None) -> OdeResult:
-    """Integrate y' = fun(t, y) over t_span; raises ConvergenceError when the
-    step size falls below ten times the spacing of floats at t."""
-    run = _dop853(t_span, y0, rtol, atol, first_step)
-    request = next(run)
-    while True:
-        try:
-            request = run.send(fun(*request))
-        except StopIteration as stop:
-            return stop.value
-
-
 class LockstepResult(NamedTuple):
     results: list  # per member: its OdeResult, or the ConvergenceError that stopped it
     nfev: int  # right-hand-side evaluations over all members
@@ -226,9 +215,11 @@ class LockstepResult(NamedTuple):
 
 def solve_lockstep(fun, problems) -> LockstepResult:
     """Member i solves y' = fun([i], [t], y[np.newaxis])[0] for problems[i] =
-    (t_span, y0, rtol, atol, first_step) with the bits solve_ivp gives it alone,
-    but each round is one call fun(members, ts, Y) on the stacked pending states
-    of all running members.  A member whose step collapses leaves with its error."""
+    (t_span, y0, rtol, atol, first_step), first_step None for the starting-step
+    rule, with the bits it gets when run alone; each round is one call
+    fun(members, ts, Y) on the stacked pending states of all running members.
+    A member whose step size falls below ten times the spacing of floats at t
+    leaves with its ConvergenceError."""
     runs = [_dop853(*problem) for problem in problems]
     results, nfev = [None] * len(runs), 0
     pending = {i: next(run) for i, run in enumerate(runs)}

@@ -42,14 +42,17 @@ import numpy.random  # loaded at import, not in a study run (see spectral.py)
 # modified_flow calls the lockstep integrator as this module global, because the
 # benchmark tracer rebinds bea.solve_ivp by name to count its nfev (all members)
 from ._dop853 import solve_lockstep as solve_ivp
-from .errors import ConvergenceError, OrderCapError
+from .errors import ConvergenceError
 from .hjet import HJet, expand_step_map
 from .models import PdeModel
 from .rk import ButcherTableau
 from .spectral import FourierGrid, FourierState, y_norm
 
-N_MAX_DEFAULT = 6
+N_MAX_DEFAULT = 6  # the coupled policy's default bound on n(h)
 _SYMMETRY_TOL = 1e-12
+_QUAD_NODES = 16  # Gauss-Legendre nodes of the H-tilde line integrals
+_GRAD_EPS = 1e-4  # relative step of gradient_consistency's difference stencil
+_FLOW_RTOL, _FLOW_ATOL = 1e-13, 1e-15  # modified_flow's tolerances before the floors
 
 
 @lru_cache(maxsize=None)
@@ -78,15 +81,11 @@ class ModifiedField:
 
     Nothing is stored per state; the only state is the measured roundoff
     floor (noise_floor), taken once at the first state it is asked about.
+    Any order n >= 1 is accepted up to the jet order cap hjet.ORDER_CAP;
+    above it the orbit expansion raises OrderCapError.
     """
 
-    def __init__(
-        self,
-        model: PdeModel,
-        tab: ButcherTableau,
-        m: float | None = None,
-        n_max: int = N_MAX_DEFAULT,
-    ):
+    def __init__(self, model: PdeModel, tab: ButcherTableau, m: float | None = None):
         # the central logarithm needs Psi_h^-1 = Psi_-h
         a, b = np.asarray(tab.a), np.asarray(tab.b)
         if np.max(np.abs(a + a[::-1, ::-1] - b)) > _SYMMETRY_TOL:
@@ -94,7 +93,6 @@ class ModifiedField:
         self.model = model
         self.tab = tab
         self.m = m
-        self.n_max = n_max
         self._forward_norms: list[float] = []  # ||forward f^j|| / ||f^1||
 
     def _log(self, grid: FourierGrid, Y: np.ndarray, n: int, central: bool) -> np.ndarray:
@@ -121,8 +119,6 @@ class ModifiedField:
         """
         if n < 1:
             raise ValueError("coefficient index starts at 1")
-        if n > max(self.n_max, 1):
-            raise OrderCapError(f"coefficient order {n} exceeds the cap {self.n_max}")
         finite = np.all(np.isfinite(Y), axis=(-2, -1))
         if not finite.all():
             out = np.full((n + 1,) + Y.shape, np.nan, dtype=complex)
@@ -131,17 +127,13 @@ class ModifiedField:
             return out
         return self._log(grid, Y, n, central=True)
 
-    def coefficients(self, j: int, grid: FourierGrid, Y: np.ndarray) -> np.ndarray:
-        """f^j at each state of the stack Y, shape (N, components, band)."""
-        return self.series_coefficients(grid, Y, j)[j]
-
     def coefficient(self, j: int, U: FourierState) -> FourierState:
         """The coefficient f^j evaluated at U.
 
-        A one-state wrapper over coefficients, kept because the benchmark
-        tracer binds it by name.
+        A one-state wrapper over series_coefficients, kept because the
+        benchmark tracer binds it by name.
         """
-        return FourierState(U.grid, self.coefficients(j, U.grid, U.coeffs[np.newaxis])[0])
+        return FourierState(U.grid, self.series_coefficients(U.grid, U.coeffs[np.newaxis], j)[j, 0])
 
     def forward_coefficients(self, grid: FourierGrid, Y: np.ndarray, n: int) -> np.ndarray:
         """f^0 = 0, f^1 .. f^n from the forward logarithm, even orders computed."""
@@ -192,8 +184,6 @@ def modified_flow(
     n: int,
     m: float | None = None,
     mf: ModifiedField | None = None,
-    rtol: float = 1e-13,
-    atol: float = 1e-15,
 ) -> FourierState | list:
     """Flow of the truncated modified field over one step [0, h].
 
@@ -210,9 +200,9 @@ def modified_flow(
     """
     hs = [h] if np.ndim(h) == 0 else list(h)
     if mf is None:
-        mf = ModifiedField(model, tab, m, n_max=max(N_MAX_DEFAULT, n))
+        mf = ModifiedField(model, tab, m)
     chart = model.chart(U.grid, m)
-    um = model.project(U, m) if m is not None else U
+    um = model.project(U, m)
     z0 = chart.to_real(um)
 
     size = max(1.0, y_norm(mf.series_eval(um, 0.0, 1), model.q))  # ||f^1||, h-free
@@ -225,7 +215,7 @@ def modified_flow(
             fs = mf.series_coefficients(um.grid, chart.real_to_coeffs(Z), n)
             return chart.coeffs_to_real(truncated_field(fs, [hs[i] for i in members], tab.order))
 
-    tols = [(max(rtol, 5.0 * noise / scale), max(atol, 0.5 * noise)) for noise in noises]
+    tols = [(max(_FLOW_RTOL, 5.0 * x / scale), max(_FLOW_ATOL, 0.5 * x)) for x in noises]
     sol = solve_ivp(rhs, [((0.0, hi), z0, *tol, hi / 4.0) for hi, tol in zip(hs, tols)])
     flows = [r if isinstance(r, ConvergenceError) else chart.from_real(r.y) for r in sol.results]
     if np.ndim(h) == 0 and isinstance(flows[0], ConvergenceError):
@@ -233,8 +223,8 @@ def modified_flow(
     return flows if np.ndim(h) else flows[0]
 
 
-def _quad_nodes(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(nodes)
+def _quad_nodes() -> tuple[np.ndarray, np.ndarray]:
+    x, w = np.polynomial.legendre.leggauss(_QUAD_NODES)
     return (x + 1.0) / 2.0, w / 2.0
 
 
@@ -244,23 +234,21 @@ def modified_hamiltonian_terms(
     U: FourierState,
     n: int,
     m: float | None = None,
-    anchor: FourierState | None = None,
-    nodes: int = 16,
     mf: ModifiedField | None = None,
 ) -> dict[int, float]:
     """Line-integral energies H^j(U) for j = p+1 .. n (independent of h).
 
     H^j(U) = int_0^1 <U - U0, J^{-1} f^j(U0 + t (U - U0))> dt with the model
-    pairing, anchored at U0 (model.anchor(P_m U) by default), by
+    pairing, anchored at U0 = model.anchor(P_m U), by _QUAD_NODES-point
     Gauss-Legendre quadrature in t; the nodes go through one orbit expansion
     as one stack.
     """
     if mf is None:
-        mf = ModifiedField(model, tab, m, n_max=max(N_MAX_DEFAULT, n))
-    um = model.project(U, m) if m is not None else U
-    u0 = anchor if anchor is not None else model.anchor(um)
+        mf = ModifiedField(model, tab, m)
+    um = model.project(U, m)
+    u0 = model.anchor(um)
     diff = um - u0
-    t, w = _quad_nodes(nodes)
+    t, w = _quad_nodes()
     points = u0.coeffs + t[:, np.newaxis, np.newaxis] * diff.coeffs
     fs = mf.series_coefficients(um.grid, points, n) if n > tab.order else []
     out: dict[int, float] = {}
@@ -279,14 +267,11 @@ def modified_hamiltonian_eval(
     h: float,
     n: int,
     m: float | None = None,
-    anchor: FourierState | None = None,
-    nodes: int = 16,
     mf: ModifiedField | None = None,
 ) -> float:
     """Modified energy H-tilde(U; h) = H(P_m U) + sum_{j=p}^{n-1} h^j H^{j+1}(U)."""
-    um = model.project(U, m) if m is not None else U
-    base = model.hamiltonian(um)
-    terms = modified_hamiltonian_terms(model, tab, U, n, m, anchor, nodes, mf)
+    base = model.hamiltonian(model.project(U, m))
+    terms = modified_hamiltonian_terms(model, tab, U, n, m, mf)
     return base + sum(h ** (j - 1) * hj for j, hj in terms.items())
 
 
@@ -299,8 +284,6 @@ def gradient_consistency(
     m: float | None = None,
     n_dirs: int = 8,
     seed: int = 0,
-    eps: float = 1e-4,
-    nodes: int = 16,
     mf: ModifiedField | None = None,
 ) -> float:
     """Residual of F-tilde = J grad H-tilde along random band directions.
@@ -310,15 +293,15 @@ def gradient_consistency(
     unit directions.
     """
     if mf is None:
-        mf = ModifiedField(model, tab, m, n_max=max(N_MAX_DEFAULT, n))
+        mf = ModifiedField(model, tab, m)
     chart = model.chart(U.grid, m)
-    um = model.project(U, m) if m is not None else U
+    um = model.project(U, m)
     z0 = chart.to_real(um)
     field = mf.series_eval(um, h, n)
     jinv_field = model.apply_J_inv(field)
     scale = max(1.0, float(np.linalg.norm(chart.to_real(jinv_field))))
     rng = np.random.default_rng(seed)
-    h_eps = eps * (1.0 + float(np.linalg.norm(z0)))
+    h_eps = _GRAD_EPS * (1.0 + float(np.linalg.norm(z0)))
     worst = 0.0
     for _ in range(n_dirs):
         zdir = rng.standard_normal(chart.dim)
@@ -327,7 +310,7 @@ def gradient_consistency(
 
         def htilde(t: float) -> float:
             return modified_hamiltonian_eval(
-                model, tab, chart.from_real(z0 + t * zdir), h, n, m, nodes=nodes, mf=mf
+                model, tab, chart.from_real(z0 + t * zdir), h, n, m, mf=mf
             )
 
         fd = (-htilde(2 * h_eps) + 8 * htilde(h_eps) - 8 * htilde(-h_eps) + htilde(-2 * h_eps)) / (

@@ -34,9 +34,12 @@ condition kinds:
 - ``explicit(entries)``: a list of ``[k, component, re, im]`` rows.
 
 For real-field models, entries given at k > 0 are mirrored conjugately to -k
-unless -k is set explicitly.  A parsed config re-serializes to the identical
-canonical dict, and its SHA-256 hash (first 12 hex digits) stamps every CSV
-row the harness writes.
+unless -k is set explicitly.  Integer fields (band, n_phys, max_iter, samples,
+h.count, seed, k, component, the bea.n entries, n_max and the k and component
+of explicit entries) take integers or integral floats such as 16.0; any other
+value, true and false included, is a ConfigError.  A parsed config
+re-serializes to the identical canonical dict, and its SHA-256 hash (first 12
+hex digits) stamps every CSV row the harness writes.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ import numpy as np
 import numpy.random  # loaded at import, not in a study run (see spectral.py)
 
 from .. import __version__
+from ..bea import N_MAX_DEFAULT
 from ..errors import ConfigError, DomainError, HambeaError
 from ..models import PdeModel, make_model
 from ..rk import StageSolveConfig, make_tableau
@@ -73,6 +77,13 @@ def _coerce_number(value, where: str) -> float:
     return float(value)
 
 
+def _coerce_int(value, where: str) -> int:
+    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not integral:
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class ModelSection:
     name: str
@@ -88,8 +99,8 @@ class ModelSection:
         out = cls(
             name=str(d["name"]),
             params=dict(d.get("params", {})),
-            band=int(d.get("band", 16)),
-            n_phys=None if d.get("n_phys") is None else int(d["n_phys"]),
+            band=_coerce_int(d.get("band", 16), "model.band"),
+            n_phys=None if d.get("n_phys") is None else _coerce_int(d["n_phys"], "model.n_phys"),
         )
         if out.band < 1:
             raise ConfigError("model.band must be a positive integer")
@@ -118,7 +129,7 @@ class MethodSection:
             tableau=str(d.get("tableau", "midpoint")),
             stage_tol=_coerce_number(d.get("stage_tol", 1e-12), "method.stage_tol"),
             solver=str(d.get("solver", "fixed_point")),
-            max_iter=int(d.get("max_iter", 100)),
+            max_iter=_coerce_int(d.get("max_iter", 100), "method.max_iter"),
         )
         if out.tableau not in TABLEAU_IDS:
             raise ConfigError(f"method.tableau must be one of {TABLEAU_IDS}, got {out.tableau!r}")
@@ -165,7 +176,7 @@ class InitialConditionSpec:
                 tau=_coerce_number(d.get("tau", 0.5), "run.initial.tau"),
                 ell=_coerce_number(d.get("ell", 2.0), "run.initial.ell"),
                 amplitude=_coerce_number(d.get("amplitude", 0.4), "run.initial.amplitude"),
-                seed=None if d.get("seed") is None else int(d["seed"]),
+                seed=None if d.get("seed") is None else _coerce_int(d["seed"], "run.initial.seed"),
             )
             if out.tau <= 0 or out.ell < 0 or out.amplitude <= 0:
                 raise ConfigError("gevrey_decay needs tau > 0, ell >= 0, amplitude > 0")
@@ -174,8 +185,8 @@ class InitialConditionSpec:
             _reject_unknown(d, ("kind", "k", "component", "amplitude"), "run.initial")
             return cls(
                 kind=kind,
-                k=int(d.get("k", 1)),
-                component=int(d.get("component", 0)),
+                k=_coerce_int(d.get("k", 1), "run.initial.k"),
+                component=_coerce_int(d.get("component", 0), "run.initial.component"),
                 amplitude=_coerce_number(d.get("amplitude", 0.4), "run.initial.amplitude"),
             )
         if kind == "explicit":
@@ -190,7 +201,12 @@ class InitialConditionSpec:
                         "each explicit entry must be [k, component, re, im], "
                         f"got {row!r}"
                     )
-                parsed.append([int(row[0]), int(row[1]), float(row[2]), float(row[3])])
+                parsed.append([
+                    _coerce_int(row[0], "explicit entry k"),
+                    _coerce_int(row[1], "explicit entry component"),
+                    _coerce_number(row[2], "explicit entry re"),
+                    _coerce_number(row[3], "explicit entry im"),
+                ])
             return cls(kind=kind, entries=parsed)
         raise ConfigError(f"run.initial.kind must be one of {IC_KINDS}, got {kind!r}")
 
@@ -219,7 +235,7 @@ def _parse_h(value) -> list[float]:
         try:
             start = _coerce_number(value["start"], "run.h.start")
             factor = _coerce_number(value["factor"], "run.h.factor")
-            count = int(value["count"])
+            count = _coerce_int(value["count"], "run.h.count")
         except KeyError as e:
             raise ConfigError(f"run.h geometric range is missing {e.args[0]!r}") from None
         if count < 1:
@@ -256,7 +272,7 @@ class RunSection:
             h=_parse_h(d["h"]),
             T=_coerce_number(d["T"], "run.T"),
             initial=InitialConditionSpec.from_dict(d.get("initial", {})),
-            samples=int(d.get("samples", 33)),
+            samples=_coerce_int(d.get("samples", 33), "run.samples"),
             m=None if d.get("m") is None else _coerce_number(d["m"], "run.m"),
         )
         if out.T <= 0:
@@ -286,7 +302,7 @@ class BeaSection:
     delta: float = 0.25
     chi: float | None = None
     c_F: float | None = None
-    n_max: int = 6
+    n_max: int = N_MAX_DEFAULT
     q: float | None = None
 
     @classmethod
@@ -302,13 +318,13 @@ class BeaSection:
             raise ConfigError("bea.m must be a nonempty list")
         out = cls(
             policy=str(d.get("policy", "explicit")),
-            n=[int(v) for v in n_raw],
+            n=[_coerce_int(v, "bea.n entry") for v in n_raw],
             m=[None if v is None else _coerce_number(v, "bea.m entry") for v in m_raw],
             tau=None if d.get("tau") is None else _coerce_number(d["tau"], "bea.tau"),
             delta=_coerce_number(d.get("delta", 0.25), "bea.delta"),
             chi=None if d.get("chi") is None else _coerce_number(d["chi"], "bea.chi"),
             c_F=None if d.get("c_F") is None else _coerce_number(d["c_F"], "bea.c_F"),
-            n_max=int(d.get("n_max", 6)),
+            n_max=_coerce_int(d.get("n_max", N_MAX_DEFAULT), "bea.n_max"),
             q=None if d.get("q") is None else _coerce_number(d["q"], "bea.q"),
         )
         if out.policy not in POLICY_MODES:

@@ -156,8 +156,8 @@ def run_drift_study(
         rows: list[list] = []
         try:
             stepper = Stepper(model, grid, tab, h, m, sscfg)
-            mf = ModifiedField(model, tab, m, n_max=max(cfg.bea.n_max, n))
-            U = model.project(U0, m) if m is not None else U0
+            mf = ModifiedField(model, tab, m)
+            U = model.project(U0, m)
             H0 = model.hamiltonian(U)
             Ht0 = modified_hamiltonian_eval(model, tab, U, h, n, m, mf=mf)
             floor = (mf.noise_floor(U, h, n) + 1e-15) * max(1.0, abs(H0))
@@ -205,7 +205,7 @@ def run_convergence_study(
     model, grid, tab, U0 = _setup(cfg, seed)
     sscfg = cfg.method.stage_config()
     m = cfg.run.m
-    U_start = model.project(U0, m) if m is not None else U0
+    U_start = model.project(U0, m)
 
     steps_ref, h_ref = _canonical_steps(cfg.run.T, min(cfg.run.h) / 20.0)
     ref_tab = make_tableau("gauss3")
@@ -293,6 +293,9 @@ def run_bea_verify(
 ) -> list[Path]:
     """Four tables probing the modified-equation claims.
 
+    The first three use only the first bea.m radius; bea_expfit.csv takes
+    its radius from the coupled policy.
+
     - bea_embedding.csv: one-step distance between the method and the flow of
       the truncated modified field, per (n, h), with a per-n slope estimate;
     - bea_hclose.csv: |H-tilde - H| at the initial state per h (slope is the
@@ -307,13 +310,13 @@ def run_bea_verify(
     sscfg = cfg.method.stage_config()
     p = tab.order
     m0 = cfg.bea.m[0]
-    base = model.project(U0, m0) if m0 is not None else U0
+    base = model.project(U0, m0)
     prov = _prov(cfg)
     out = _out_dir(cfg, out_dir)
     paths: list[Path] = []
 
     # -- embedding orders
-    mfs = {n: ModifiedField(model, tab, m0, n_max=max(cfg.bea.n_max, n)) for n in cfg.bea.n}
+    mfs = {n: ModifiedField(model, tab, m0) for n in cfg.bea.n}
 
     res = []
     for n in cfg.bea.n:
@@ -340,7 +343,7 @@ def run_bea_verify(
 
     # -- H-tilde vs H closeness (terms are h-independent, computed once)
     n_close = max([n for n in cfg.bea.n if n > p], default=p + 1)
-    mf_close = ModifiedField(model, tab, m0, n_max=max(cfg.bea.n_max, n_close))
+    mf_close = ModifiedField(model, tab, m0)
     H_base = model.hamiltonian(base)
     terms = modified_hamiltonian_terms(model, tab, base, n_close, m0, mf=mf_close)
     rows = []
@@ -390,7 +393,7 @@ def run_bea_verify(
             n, m = rp.n, rp.m
             try:
                 stepper = Stepper(model, grid, tab, h, m, sscfg)
-                mf = ModifiedField(model, tab, m, n_max=max(cfg.bea.n_max, n))
+                mf = ModifiedField(model, tab, m)
                 U = model.project(U0, m)
                 Ht0 = modified_hamiltonian_eval(model, tab, U, h, n, m, mf=mf)
                 floor = (mf.noise_floor(U, h, n) + 1e-15) * max(1.0, abs(Ht0))
@@ -444,7 +447,7 @@ def run_integrate(cfg: ExperimentConfig, out_dir=None, seed: int = 0, threads: i
     m = cfg.run.m
     steps, h = _canonical_steps(cfg.run.T, cfg.run.h[0])
     stepper = Stepper(model, grid, tab, h, m, sscfg)
-    U = model.project(U0, m) if m is not None else U0
+    U = model.project(U0, m)
     H0 = model.hamiltonian(U)
     sample_at = set(_sample_indices(steps, cfg.run.samples))
     rows = [[0.0, H0, 0.0, y_norm(U, model.q), "ok"]]

@@ -44,12 +44,11 @@ use a fixed generous padding instead.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
-from ._dop853 import solve_ivp
-from .errors import DomainError
+from ._dop853 import solve_lockstep
+from .errors import ConvergenceError, DomainError
 from ._seriesops import product_coeff, reciprocal_coeff, sincos_coeff
 from .spectral import (
     FourierGrid,
@@ -58,7 +57,6 @@ from .spectral import (
     band_mask,
     gevrey_norm,
     l2_inner,
-    mode_eigenvalues,
     project,
     weighted_inner,
     y_norm,
@@ -111,9 +109,6 @@ class PolyPotential:
 
         return lift
 
-    def params_dict(self) -> dict:
-        return {"kind": "poly", "coeffs": {str(j): c for j, c in self.coeffs.items()}}
-
 
 class SineGordonPotential:
     """V(u) = gamma (1 - cos u), V'(u) = gamma sin u."""
@@ -141,9 +136,6 @@ class SineGordonPotential:
             return self.gamma * s_j
 
         return lift
-
-    def params_dict(self) -> dict:
-        return {"kind": "sine_gordon", "gamma": self.gamma}
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +253,9 @@ class PdeModel:
             n_phys = _fast_fft_len(factor * n_modes + 1)
         return FourierGrid(n_modes, n_phys)
 
-    def eigenvalues(self, grid: FourierGrid) -> np.ndarray:
-        return mode_eigenvalues(grid, self.q)
-
     def project(self, state: FourierState, m: float | None) -> FourierState:
-        return project(state, m, self.q)
+        """P_m state; m = None returns state itself, not a copy."""
+        return state if m is None else project(state, m, self.q)
 
     # -- linear part ----------------------------------------------------
 
@@ -339,9 +329,6 @@ class PdeModel:
         The zero state, where the energy densities are smooth.
         """
         return FourierState(state.grid, np.zeros_like(state.coeffs))
-
-    def params_dict(self) -> dict:
-        raise NotImplementedError
 
     # -- helpers shared by subclasses -------------------------------------
 
@@ -445,9 +432,6 @@ class WaveModel(PdeModel):
     def pairing(self, a: FourierState, b: FourierState) -> float:
         return float(np.real(weighted_inner(a, b, GevreyIndex(0.0, 0.0, 1.0))))
 
-    def params_dict(self) -> dict:
-        return {"name": self.name, "potential": self.potential.params_dict()}
-
 
 # ---------------------------------------------------------------------------
 # Schroedinger family
@@ -536,9 +520,6 @@ class NlsModel(_SchroedingerBase):
             )
         return float(np.real(grid.quadrature(density)))
 
-    def params_dict(self) -> dict:
-        return {"name": self.name, "sigma": self.sigma, "lam": self.lam}
-
 
 class NonlocalNlsModel(_SchroedingerBase):
     """Schroedinger flow driven by the total mass: i u_t = -u_xx + V'(rho) u.
@@ -617,9 +598,6 @@ class NonlocalNlsModel(_SchroedingerBase):
         out.set_mode(0, np.sqrt(self._mass(state.coeffs)) * (u0 / abs(u0) if u0 != 0 else 1.0))
         return out
 
-    def params_dict(self) -> dict:
-        return {"name": self.name, "rho_min": self.rho_min}
-
 
 # ---------------------------------------------------------------------------
 # factory
@@ -690,7 +668,7 @@ def grad_H_consistency(
     directions; the residual is measured in the pairing norm, relative to
     max(1, ||grad H||).
     """
-    um = model.project(U, m) if m is not None else U
+    um = model.project(U, m)
     chart = model.chart(U.grid, m)
     grad = fd_jacobian(lambda s: np.array([model.hamiltonian(s)]), chart, um, eps)[0]
     field = model.apply_A(um) + model.apply_B(um, m)
@@ -715,16 +693,23 @@ def reference_flow(
     rtol: float = 1e-11,
     atol: float = 1e-13,
 ) -> FourierState:
-    """High-accuracy integration of the band-truncated system over [0, T]."""
+    """High-accuracy integration of the band-truncated system over [0, T].
+
+    DOP853 from its starting-step rule, as a lockstep run of one member;
+    raises that member's ConvergenceError if its step size collapses.
+    """
     chart = model.chart(U.grid, m)
-    z0 = chart.to_real(model.project(U, m) if m is not None else U)
+    z0 = chart.to_real(model.project(U, m))
 
-    def rhs(_t, z):
-        s = chart.from_real(z)
+    def rhs(_members, _ts, Z):
+        s = chart.from_real(Z[0])
         f = model.apply_A(s) + model.apply_B(s, m)
-        return chart.to_real(f)
+        return chart.to_real(f)[np.newaxis]
 
-    return chart.from_real(solve_ivp(rhs, (0.0, T), z0, rtol=rtol, atol=atol).y)
+    (out,) = solve_lockstep(rhs, [((0.0, T), z0, rtol, atol, None)]).results
+    if isinstance(out, ConvergenceError):
+        raise out
+    return chart.from_real(out.y)
 
 
 def measure_force_scale(

@@ -148,7 +148,6 @@ class StageSolveConfig:
 
 @dataclass
 class StageResult:
-    grid: FourierGrid
     stages: np.ndarray  # (s, components, band)
     iterations: int
     residual: float
@@ -213,11 +212,11 @@ class Stepper:
     # -- public ------------------------------------------------------------
 
     def solve_stages(self, U: FourierState) -> StageResult:
-        um = self.model.project(U, self.m) if self.m is not None else U
+        um = self.model.project(U, self.m)
         scale = 1.0 + y_norm(um, self.model.q)
         stages = self._apply_resolvent(np.repeat(um.coeffs[None], self.tab.stages, axis=0))
         if self.h == 0.0:
-            return StageResult(self.grid, stages, 1, 0.0)
+            return StageResult(stages, 1, 0.0)
         if self.config.scheme == "newton_on_modes":
             return self._solve_newton(um, stages, scale)
         floor = 50.0 * np.finfo(float).eps
@@ -231,10 +230,10 @@ class Stepper:
             if not math.isfinite(res):
                 raise ConvergenceError("stage iteration produced a non-finite residual", res, it)
             if res <= self.config.tol:
-                return StageResult(self.grid, stages, it, res)
+                return StageResult(stages, it, res)
             if res <= floor or (res < 1e-9 and res > 0.5 * prev):
                 # machine-precision stagnation: the iterate stopped improving
-                return StageResult(self.grid, stages, it, res)
+                return StageResult(stages, it, res)
             prev = res
         raise ConvergenceError("stage iteration did not converge", res, self.config.max_iter)
 
@@ -264,7 +263,7 @@ class Stepper:
             if not math.isfinite(res):
                 raise ConvergenceError("Newton stage solve produced a non-finite residual", res, it)
             if res <= self.config.tol:
-                return StageResult(self.grid, unpack(z), it, res)
+                return StageResult(unpack(z), it, res)
             # central differences along every chart axis, all 2 dim states in one stack
             eps = 1e-7 * (1.0 + float(np.linalg.norm(z)))
             shift = eps * np.eye(dim)
@@ -276,10 +275,9 @@ class Stepper:
                 raise ConvergenceError("Newton stage Jacobian is singular", res, it) from exc
         raise ConvergenceError("Newton stage solve did not converge", res, self.config.max_iter)
 
-    def step(self, U: FourierState, stages: StageResult | None = None) -> FourierState:
-        um = self.model.project(U, self.m) if self.m is not None else U
-        if stages is None:
-            stages = self.solve_stages(um)
+    def step(self, U: FourierState) -> FourierState:
+        um = self.model.project(U, self.m)
+        stages = self.solve_stages(um)
         lin = np.einsum("kij,jk->ik", self._stability, um.coeffs)
         if self.h == 0.0:
             return FourierState(self.grid, lin)

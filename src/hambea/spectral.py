@@ -67,11 +67,6 @@ class FourierGrid:
         return np.arange(-self.n_modes, self.n_modes + 1)
 
     @property
-    def x(self) -> np.ndarray:
-        """Equispaced physical nodes x_j = 2*pi*j/n_phys."""
-        return 2.0 * math.pi * np.arange(self.n_phys) / self.n_phys
-
-    @property
     def band_size(self) -> int:
         return 2 * self.n_modes + 1
 

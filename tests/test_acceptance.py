@@ -240,7 +240,7 @@ def test_criterion_06_embedding_order(capsys):
     details = []
     ok = True
     for n, hs in windows.items():
-        mf = ModifiedField(model, tab, m=m, n_max=max(6, n))
+        mf = ModifiedField(model, tab, m=m)
         errs = []
         for h in hs:
             psi = Stepper(model, grid, tab, h, m=m, config=cfg).step(U0)

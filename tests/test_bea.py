@@ -21,10 +21,12 @@ from hambea import (
     modified_flow,
     modified_hamiltonian_eval,
     modified_hamiltonian_terms,
+    project,
     reference_flow,
     resolve_policy,
     y_norm,
 )
+from hambea.hjet import ORDER_CAP
 
 from conftest import MODEL_SPECS, fit_loglog_slope, random_state, same_bits
 
@@ -87,7 +89,7 @@ def test_central_log_matches_forward_log(key, m, tab_name, rng):
             for _ in range(3)
         ]
     )
-    mf = ModifiedField(model, tab, m, n_max=5)
+    mf = ModifiedField(model, tab, m)
     central = mf.series_coefficients(grid, Y, 5)
     forward = mf.forward_coefficients(grid, Y, 5)
     for j in [1] + [j for j in (3, 5) if j > tab.order]:
@@ -125,22 +127,54 @@ def test_coefficient_repeatable_without_per_state_storage(nls, rng):
     before = sizes()
     for _ in range(4):
         mf.coefficient(5, random_state(grid, 1, rng))
-    mf.coefficients(5, grid, np.stack([random_state(grid, 1, rng).coeffs for _ in range(3)]))
+    Y = np.stack([random_state(grid, 1, rng).coeffs for _ in range(3)])
+    mf.series_coefficients(grid, Y, 5)
     assert sizes() == before
 
 
 def test_coefficient_argument_guards(nls, rng):
     grid = nls.make_grid(3)
     s = random_state(grid, 1, rng)
-    mf = ModifiedField(nls, make_tableau("midpoint"), n_max=4)
+    mf = ModifiedField(nls, make_tableau("midpoint"))
     with pytest.raises(ValueError):
         mf.coefficient(0, s)
-    with pytest.raises(OrderCapError):
-        mf.coefficient(5, s)
-    with pytest.raises(OrderCapError):
-        mf.series_eval(s, 0.1, 7)
     with pytest.raises(ValueError):
         mf.series_eval(s, 0.1, 0)
+
+
+@pytest.mark.parametrize("tab_name", ["midpoint", "gauss3"])
+def test_order_cap_is_the_jet_cap(nls, rng, tab_name):
+    # the jet order cap is the one cap: order ORDER_CAP evaluates through every
+    # entry point, ORDER_CAP + 1 raises OrderCapError from each
+    grid = nls.make_grid(3)
+    s = random_state(grid, 1, rng)
+    tab = make_tableau(tab_name)
+    mf = ModifiedField(nls, tab)
+    top = mf.series_coefficients(grid, s.coeffs[np.newaxis], ORDER_CAP)[-2:, 0]
+    assert same_bits(mf.coefficient(ORDER_CAP, s).coeffs, top[1])
+    assert np.all(np.isfinite(top)) and np.max(np.abs(top[0])) > 0.0
+    assert np.all(np.isfinite(mf.series_eval(s, 0.1, ORDER_CAP).coeffs))
+    terms = modified_hamiltonian_terms(nls, tab, s, ORDER_CAP, mf=mf)
+    assert sorted(terms) == list(range(tab.order + 1, ORDER_CAP + 1))
+    assert all(math.isfinite(v) for v in terms.values())
+    with pytest.raises(OrderCapError):
+        mf.coefficient(ORDER_CAP + 1, s)
+    with pytest.raises(OrderCapError):
+        mf.series_eval(s, 0.1, ORDER_CAP + 1)
+    with pytest.raises(OrderCapError):
+        modified_hamiltonian_terms(nls, tab, s, ORDER_CAP + 1, mf=mf)
+
+
+@pytest.mark.parametrize("key,m", [("nls-cubic", None), ("nls-cubic", 2.0), ("wave-poly", 1.0)])
+def test_model_project(key, m, rng):
+    # m = None is the state itself; a radius gives spectral.project's bits
+    model = make_model(*MODEL_SPECS[key])
+    grid = model.make_grid(3)
+    U = random_state(grid, model.components, rng, real_field=model.is_real_field)
+    if m is None:
+        assert model.project(U, m) is U
+    else:
+        assert same_bits(model.project(U, m).coeffs, project(U, m, model.q).coeffs)
 
 
 def test_nan_input_returns_nan(nls):
@@ -179,11 +213,11 @@ def test_batched_coefficients_match_single_states(key, m, tab_name, rng):
     rows[3][0, 1] = np.nan
     rows[3][0, 2] = np.inf
     Y = np.stack(rows + [0.5 * rows[0]])
-    mf = ModifiedField(model, make_tableau(tab_name), m, n_max=5)
+    mf = ModifiedField(model, make_tableau(tab_name), m)
     for j in range(1, 6):
         # the non-finite row is never evaluated, so nothing overflows
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            got = mf.coefficients(j, grid, Y)
+            got = mf.series_coefficients(grid, Y, j)[j]
         want = np.stack([mf.coefficient(j, FourierState(grid, y)).coeffs for y in Y])
         assert same_bits(got, want), j
         assert np.all(np.isnan(got[3]))

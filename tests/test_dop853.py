@@ -4,7 +4,8 @@ The library's reference integrations must not depend on scipy at run time,
 yet their numbers must not move: the CSVs of the bea and drift studies are
 compared byte for byte across versions.  These tests pin the integrator to
 scipy's bit for bit, on synthetic systems and on the library's own calls,
-and check that a failed integration raises a typed error.
+and check that a failed integration raises a typed error.  A single problem
+runs as the one member of a lockstep integration, as reference_flow runs it.
 """
 
 import warnings
@@ -16,7 +17,7 @@ from scipy.integrate import solve_ivp as scipy_solve_ivp
 import hambea.bea as bea
 import hambea.models as models
 from hambea import ConvergenceError, make_tableau
-from hambea._dop853 import solve_ivp, solve_lockstep
+from hambea._dop853 import solve_lockstep
 from hambea.harness import ExperimentConfig, run_bea_verify
 
 from conftest import random_state, same_bits
@@ -31,14 +32,26 @@ def _scipy(fun, t_span, y0, rtol, atol, first_step=None):
         )
 
 
+def _solve(fun, t_span, y0, rtol, atol, first_step=None):
+    """y' = fun(t, y) as the one member of a lockstep run: its OdeResult, or
+    its ConvergenceError raised."""
+    def stacked(_members, ts, Y):
+        return fun(ts[0], Y[0])[np.newaxis]
+
+    (out,) = solve_lockstep(stacked, [(t_span, y0, rtol, atol, first_step)]).results
+    if isinstance(out, ConvergenceError):
+        raise out
+    return out
+
+
 def _assert_same(fun, t_span, y0, rtol, atol, first_step=None):
     ref = _scipy(fun, t_span, y0, rtol, atol, first_step)
     if not ref.success:  # the step size collapsed: same failure, same count
         with pytest.raises(ConvergenceError) as err:
-            solve_ivp(fun, t_span, y0, rtol=rtol, atol=atol, first_step=first_step)
+            _solve(fun, t_span, y0, rtol, atol, first_step)
         assert err.value.iterations == ref.nfev
         return ref
-    ours = solve_ivp(fun, t_span, y0, rtol=rtol, atol=atol, first_step=first_step)
+    ours = _solve(fun, t_span, y0, rtol, atol, first_step)
     assert same_bits(ours.y, ref.y[:, -1])
     assert ours.nfev == ref.nfev
     return ref
@@ -84,30 +97,17 @@ def test_matches_scipy_through_rejected_steps():
     assert ref.nfev > 1 + 12 * accepted  # some trial steps were rejected
 
 
-def _pin_to_scipy(monkeypatch, module):
-    """Replace module.solve_ivp by one that checks every call against scipy."""
-    calls = []
-
-    def checked(fun, t_span, y0, rtol, atol, first_step=None):
-        ours = solve_ivp(fun, t_span, y0, rtol=rtol, atol=atol, first_step=first_step)
-        ref = _scipy(fun, t_span, y0, rtol, atol, first_step)
-        calls.append(same_bits(ours.y, ref.y[:, -1]) and ours.nfev == ref.nfev)
-        return ours
-
-    monkeypatch.setattr(module, "solve_ivp", checked)
-    return calls
-
-
 def _member(fun, i):
     """Right-hand side of lockstep member i alone, as a plain fun(t, y)."""
     return lambda t, y: fun([i], [t], y[np.newaxis])[0]
 
 
-def _pin_lockstep_to_scipy(monkeypatch):
-    """Replace bea.solve_ivp, the lockstep driver, by one that checks each
-    member against scipy run alone on that member's problem.  Every call
-    records, per member, its nfev when it matches (for a failed member:
-    "error" when scipy fails too), and False otherwise."""
+def _pin_lockstep_to_scipy(monkeypatch, module=bea, name="solve_ivp"):
+    """Replace module.name, the lockstep driver (bea.solve_ivp by default, as
+    modified_flow calls it), by one that checks each member against scipy run
+    alone on that member's problem.  Every call records, per member, its nfev
+    when it matches (for a failed member: "error" when scipy fails too), and
+    False otherwise."""
     calls = []
 
     def checked(fun, problems):
@@ -123,18 +123,18 @@ def _pin_lockstep_to_scipy(monkeypatch):
         calls.append(got)
         return ours
 
-    monkeypatch.setattr(bea, "solve_ivp", checked)
+    monkeypatch.setattr(module, name, checked)
     return calls
 
 
 def test_reference_flow_calls_match_scipy(monkeypatch, nls, wave_sg, rng):
-    calls = _pin_to_scipy(monkeypatch, models)
+    calls = _pin_lockstep_to_scipy(monkeypatch, models, "solve_lockstep")
     s = random_state(nls.make_grid(4), 1, rng)
     models.reference_flow(nls, s, 0.3, rtol=1e-11, atol=1e-13)
     models.reference_flow(nls, s, 0.3, m=2.0)
     w = random_state(wave_sg.make_grid(3), 2, rng, real_field=True)
     models.reference_flow(wave_sg, w, 0.5, rtol=1e-12, atol=1e-14)
-    assert calls == [True, True, True]
+    assert len(calls) == 3 and all(len(c) == 1 and c[0] for c in calls)
 
 
 def test_modified_flow_calls_match_scipy(monkeypatch, nls, rng):
@@ -170,10 +170,12 @@ def _lockstep_systems(count):
     return fun, problems
 
 
-def test_lockstep_members_match_solve_ivp_alone():
+def test_lockstep_members_match_each_member_alone():
     fun, problems = _lockstep_systems(4)
     res = solve_lockstep(fun, problems)
-    alone = [solve_ivp(_member(fun, i), *p) for i, p in enumerate(problems)]
+    alone = [_solve(_member(fun, i), *p) for i, p in enumerate(problems)]
+    for i, p in enumerate(problems):
+        _assert_same(_member(fun, i), *p)
     assert [r.nfev for r in res.results] == [a.nfev for a in alone]
     assert len({a.nfev for a in alone}) == 4
     assert all(same_bits(r.y, a.y) for r, a in zip(res.results, alone))
@@ -181,8 +183,8 @@ def test_lockstep_members_match_solve_ivp_alone():
 
 
 def test_lockstep_member_that_fails_mid_run_leaves_the_others_alone():
-    # member 1 turns NaN after t = 0.2: it leaves the batch with the error
-    # solve_ivp raises for it alone, and the others keep their bits
+    # member 1 turns NaN after t = 0.2: it leaves the batch with the error it
+    # raises when run alone, and the others keep their bits
     fun, problems = _lockstep_systems(4)
 
     def failing(members, ts, Y):
@@ -192,11 +194,11 @@ def test_lockstep_member_that_fails_mid_run_leaves_the_others_alone():
 
     res = solve_lockstep(failing, problems)
     with pytest.raises(ConvergenceError) as err:
-        solve_ivp(_member(failing, 1), *problems[1])
+        _solve(_member(failing, 1), *problems[1])
     assert isinstance(res.results[1], ConvergenceError)
     assert res.results[1].iterations == err.value.iterations > 12
     for i in (0, 2, 3):
-        alone = solve_ivp(_member(fun, i), *problems[i])
+        alone = _solve(_member(fun, i), *problems[i])
         assert same_bits(res.results[i].y, alone.y) and res.results[i].nfev == alone.nfev
 
 
@@ -208,11 +210,26 @@ def test_nan_field_raises_convergence_error():
         return -y if t < 0.1 else np.full_like(y, np.nan)
 
     with pytest.raises(ConvergenceError) as err:
-        solve_ivp(fun, (0.0, 1.0), np.ones(3), rtol=1e-10, atol=1e-12, first_step=0.01)
+        _solve(fun, (0.0, 1.0), np.ones(3), rtol=1e-10, atol=1e-12, first_step=0.01)
     assert err.value.iterations > 12
     # a NaN starting derivative gives a NaN starting step, which must not spin
     with pytest.raises(ConvergenceError):
-        solve_ivp(lambda t, y: y * np.nan, (0.0, 1.0), np.ones(3), rtol=1e-10, atol=1e-12)
+        _solve(lambda t, y: y * np.nan, (0.0, 1.0), np.ones(3), rtol=1e-10, atol=1e-12)
+
+
+def test_reference_flow_raises_its_members_convergence_error(monkeypatch, nls, rng):
+    runs = []
+
+    def recorded(fun, problems):
+        runs.append(solve_lockstep(fun, problems))
+        return runs[-1]
+
+    monkeypatch.setattr(models, "solve_lockstep", recorded)
+    monkeypatch.setattr(nls, "apply_B", lambda s, m=None: s * np.nan)
+    s = random_state(nls.make_grid(3), 1, rng)
+    with pytest.raises(ConvergenceError) as err:
+        models.reference_flow(nls, s, 0.3)
+    assert len(runs) == 1 and err.value is runs[0].results[0]
 
 
 def _nan_field_at(monkeypatch, h_bad, after=0):

@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import py_compile
+import re
 import subprocess
 import sys
 
@@ -156,6 +157,69 @@ def test_load_config_errors(tmp_path):
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(ConfigError):
         load_config(bad)
+
+
+def _set(d, path, value):
+    node = d
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+
+
+_PLANE = {"kind": "plane_wave", "k": 1, "component": 0, "amplitude": 0.3}
+_EXPLICIT = {"kind": "explicit", "entries": [[1, 0, 0.3, 0.0]]}
+
+# (field as the error names it, its path in the config, run keys it needs)
+_INT_FIELDS = [
+    ("model.band", ("model", "band"), {}),
+    ("model.n_phys", ("model", "n_phys"), {}),
+    ("method.max_iter", ("method", "max_iter"), {}),
+    ("run.samples", ("run", "samples"), {}),
+    ("run.h.count", ("run", "h", "count"), {"h": {"start": 0.1, "factor": 0.5, "count": 2}}),
+    ("run.initial.seed", ("run", "initial", "seed"), {}),
+    ("run.initial.k", ("run", "initial", "k"), {"initial": _PLANE}),
+    ("run.initial.component", ("run", "initial", "component"), {"initial": _PLANE}),
+    ("bea.n entry", ("bea", "n", 0), {}),
+    ("bea.n_max", ("bea", "n_max"), {}),
+    ("explicit entry k", ("run", "initial", "entries", 0, 0), {"initial": _EXPLICIT}),
+    ("explicit entry component", ("run", "initial", "entries", 0, 1), {"initial": _EXPLICIT}),
+]
+
+
+@pytest.mark.parametrize("field,path,run_keys", _INT_FIELDS, ids=[f[0] for f in _INT_FIELDS])
+def test_integer_fields_refuse_other_values(tmp_path, field, path, run_keys):
+    # a string, null, a fraction, a bool or NaN is a config error naming the
+    # field, and the CLI exits 2, instead of a traceback or a truncation
+    d = base_config()
+    d["run"].update(copy.deepcopy(run_keys))
+    ExperimentConfig.from_dict(copy.deepcopy(d))
+    for bad in ("x", None, 2.5, True, math.nan):
+        if bad is None and field in ("model.n_phys", "run.initial.seed"):
+            continue  # null selects their default
+        _set(d, path, bad)
+        cfg_path = write_config(tmp_path, d)
+        with pytest.raises(ConfigError, match=re.escape(field)):
+            load_config(cfg_path)
+        assert cli_main(["integrate", "--config", cfg_path]) == 2
+
+
+def test_integer_fields_take_integral_floats(tmp_path):
+    d = base_config()
+    d["model"]["band"], d["run"]["samples"], d["bea"]["n"] = 4.0, 3.0, [3.0]
+    cfg = load_config(write_config(tmp_path, d))
+    assert cfg.model.band == 4 and type(cfg.model.band) is int
+    assert cfg.config_hash == ExperimentConfig.from_dict(base_config()).config_hash
+
+
+@pytest.mark.parametrize("index,field", [(2, "explicit entry re"), (3, "explicit entry im")])
+def test_explicit_entry_values_must_be_numbers(tmp_path, index, field):
+    d = base_config()
+    d["run"]["initial"] = copy.deepcopy(_EXPLICIT)
+    d["run"]["initial"]["entries"][0][index] = "x"
+    cfg_path = write_config(tmp_path, d)
+    with pytest.raises(ConfigError, match=field):
+        load_config(cfg_path)
+    assert cli_main(["integrate", "--config", cfg_path]) == 2
 
 
 # -- initial data -------------------------------------------------------------

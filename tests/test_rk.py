@@ -216,7 +216,7 @@ def _newton_reference(stepper, U):
     """
     model, grid, m, s = stepper.model, stepper.grid, stepper.m, stepper.tab.stages
     chart = model.chart(grid, m)
-    um = model.project(U, m) if m is not None else U
+    um = model.project(U, m)
     scale = 1.0 + y_norm(um, model.q)
 
     def pack(st):

@@ -4,9 +4,11 @@ bench/spans.py wraps hambea's layer entry points by name from outside the
 package; deleting or renaming one of them breaks every traced benchmark run
 at start-up.  These checks catch that in the tier-1 suite, together with
 what set-up imports: numpy and nothing heavier, and nothing left for a
-study run to import.
+study run to import.  No linter runs here, so an AST scan also flags names
+that a library module imports and never uses.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -77,6 +79,22 @@ def test_setup_imports_no_scipy_and_runs_import_nothing(tmp_path):
         "integrate", "drift", "bea",
     )
     assert out == {"scipy": [], "new": []}
+
+
+def test_library_modules_use_every_name_they_import():
+    # a `from ... import` name that nothing in its module uses; the package
+    # __init__ files are exempt, since they import names to re-export them
+    unused = []
+    for path in sorted((ROOT / "src" / "hambea").rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [alias.asname or alias.name for alias in node.names]
+                unused += [f"{path.name}: {name}" for name in names if name not in used]
+    assert unused == []
 
 
 def test_public_names_resolve():
