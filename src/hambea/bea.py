@@ -223,9 +223,13 @@ def modified_flow(
     return flows if np.ndim(h) else flows[0]
 
 
+@lru_cache(maxsize=1)
 def _quad_nodes() -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, 1], built on first use (read-only)."""
     x, w = np.polynomial.legendre.leggauss(_QUAD_NODES)
-    return (x + 1.0) / 2.0, w / 2.0
+    t, w = (x + 1.0) / 2.0, w / 2.0
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
 
 
 def modified_hamiltonian_terms(

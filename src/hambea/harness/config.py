@@ -37,7 +37,9 @@ For real-field models, entries given at k > 0 are mirrored conjugately to -k
 unless -k is set explicitly.  Integer fields (band, n_phys, max_iter, samples,
 h.count, seed, k, component, the bea.n entries, n_max and the k and component
 of explicit entries) take integers or integral floats such as 16.0; any other
-value, true and false included, is a ConfigError.  A parsed config
+value, true and false included, is a ConfigError.  Every other numeric field
+takes finite numbers only; NaN and the infinities are a ConfigError naming
+the field.  A parsed config
 re-serializes to the identical canonical dict, and its SHA-256 hash (first 12
 hex digits) stamps every CSV row the harness writes.
 """
@@ -72,8 +74,8 @@ def _reject_unknown(d: dict, allowed: tuple[str, ...], where: str) -> None:
 
 
 def _coerce_number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
     return float(value)
 
 

@@ -345,10 +345,17 @@ def run_bea_verify(
     n_close = max([n for n in cfg.bea.n if n > p], default=p + 1)
     mf_close = ModifiedField(model, tab, m0)
     H_base = model.hamiltonian(base)
-    terms = modified_hamiltonian_terms(model, tab, base, n_close, m0, mf=mf_close)
+    try:
+        terms = modified_hamiltonian_terms(model, tab, base, n_close, m0, mf=mf_close)
+        status = "ok"
+    except HambeaError as e:
+        terms, status = None, f"error:{type(e).__name__}"
     rows = []
     hs, diffs = [], []
     for h in cfg.run.h:
+        if terms is None:
+            rows.append([n_close, h, H_base, None, None])
+            continue
         Ht = H_base + sum(h ** (j - 1) * hj for j, hj in terms.items())
         rows.append([n_close, h, H_base, Ht, abs(Ht - H_base)])
         if abs(Ht - H_base) > 1e-15:
@@ -358,7 +365,7 @@ def run_bea_verify(
     header = PROVENANCE_COLUMNS + [
         "n", "h", "H", "H_tilde", "abs_diff", "slope_estimate", "m_used", "status",
     ]
-    rows = [prov + r + [slope, m0, "ok"] for r in rows]
+    rows = [prov + r + [slope, m0, status] for r in rows]
     paths.append(_write_csv(out / "bea_hclose.csv", header, rows))
 
     # -- gradient consistency

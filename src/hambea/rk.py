@@ -6,21 +6,24 @@ coefficient matrix a, and satisfies the symplecticity identity
 
     b_i a_ij + b_j a_ji - b_i b_j = 0.
 
-Steps are taken in the solved-linear-part form: with stages stacked over the
-band, the stage system
+Steps are taken in the solved-linear-part form.  With R = (I - h a (x) A)^{-1}
+the stage-coupled resolvent, assembled and inverted mode by mode, the stages
+stacked over the band solve
 
-    W = (I - h a (x) A)^{-1} (1 (x) U + h a (x) B(W))
+    W = W_0 + G B(W),    W_0 = R (1 (x) I) U,    G = h R (a (x) I),
 
-is contracted by fixed-point iteration, where the stage-coupled resolvent is
-assembled and inverted mode by mode.  The forces of all s stages are evaluated
-as one batch, B applied to the (s, components, band) stack through a single FFT
-pair.  The alternative Newton solve works in real chart coordinates; its dense
-central-difference Jacobian comes from one residual evaluation on the stack of
-all 2 dim perturbed stage states.  The update is
+where the base map R (1 (x) I) and the stage gain G are precomputed per mode,
+so one fixed-point iteration is one force evaluation and one mode-wise
+contraction.  The forces of all s stages are evaluated as one batch, B applied
+to the (s, components, band) stack through a single FFT pair.  The alternative
+Newton solve works in real chart coordinates on the residual W - W_0 - G B(W);
+its dense central-difference Jacobian comes from one residual evaluation on the
+stack of all 2 dim perturbed stage states.  The update
 
-    Psi_m^h(U) = S(hA) U + h (b (x) I)^T (I - h a (x) A)^{-1} B(W),
+    Psi_m^h(U) = S(hA) U + h (b (x) I)^T R B(W),
 
-with S(z) = 1 + z b^T (I - z a)^{-1} 1 the stability function.  Everything is
+with S(z) = 1 + z b^T (I - z a)^{-1} 1 the stability function, reuses the
+forces B(W) that the stage solve returns with its stages.  Everything is
 restricted to the projection band of radius m throughout, so the step map
 leaves P_m Y invariant exactly.
 """
@@ -42,11 +45,10 @@ from .spectral import (
     GevreyIndex,
     _mode_weights,
     band_mask,
-    y_norm,
-    y_norms,
 )
 
 _LOG4_MINUS_1 = 2.0 * math.log(2.0) - 1.0
+_STAGNATION_FLOOR = 50.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -151,13 +153,14 @@ class StageResult:
     stages: np.ndarray  # (s, components, band)
     iterations: int
     residual: float
+    forces: np.ndarray  # P_m B(P_m W) of the returned stages, same shape
 
 
 class Stepper:
     """One-step map Psi_m^h for a fixed (model, grid, tableau, h, m).
 
-    Holds the per-mode stage resolvent, update row, and stability blocks, so
-    repeated steps only pay for the nonlinear iteration.
+    Holds the per-mode stage resolvent, base map, stage gain, update row and
+    stability blocks, so repeated steps only pay for the nonlinear iteration.
     """
 
     def __init__(
@@ -185,55 +188,54 @@ class Stepper:
             self._resolvent = np.linalg.inv(mats)  # (band, sc, sc)
         except np.linalg.LinAlgError as exc:
             raise PoleError(f"stage resolvent singular at h={h}") from exc
-        # update row  h (b (x) I)^T P  and stability blocks  I + h (b (x) I)^T P (1 (x) A)
-        bt = np.kron(tab.b, np.eye(c))  # (c, sc)
-        self._update_row = self.h * np.einsum("cb,kba->kca", bt, self._resolvent)
-        ones_a = np.concatenate([blocks] * s, axis=1)  # (band, sc, c)
-        self._stability = np.eye(c)[None, :, :] + np.einsum(
-            "kca,kab->kcb", self._update_row, ones_a
+        # base map R (1 (x) I), stage gain G = h R (a (x) I), update row h (b (x) I)^T R
+        # and stability blocks I + h (b (x) I)^T R (1 (x) A), all with modes last
+        rt = self._resolvent.transpose(1, 2, 0)
+        cols = rt.reshape(s * c, s, c, -1)
+        self._base = cols.sum(axis=1)  # (sc, c, band)
+        self._gain = np.einsum("piyk,ij->pjyk", cols, self.h * tab.a).reshape(s * c, s * c, -1)
+        update_row = self.h * np.einsum("i,ixpk->xpk", tab.b, rt.reshape(s, c, s * c, -1))
+        self._stability = np.eye(c)[:, :, None] + np.einsum(
+            "xpk,kpd->xdk", update_row, np.concatenate([blocks] * s, axis=1)
         )
+        # forces first: the step sums the small correction before adding S(hA) U, which
+        # rounds once at the size of U (criterion 04's smallest-h drift is below one ulp of H)
+        self._update = np.concatenate((update_row, self._stability), axis=1)  # (c, sc+c, band)
+        self._weights = _mode_weights(grid, c, GevreyIndex(0.0, 0.0, model.q))
 
-    # -- stage algebra -----------------------------------------------------
+    def _sq_norms(self, coeffs: np.ndarray) -> np.ndarray:
+        """Squared energy norms of a (..., c, band) stack, summed in y_norm's order."""
+        return ((self._weights * np.abs(np.ascontiguousarray(coeffs))) ** 2).sum(axis=(-2, -1))
 
-    def _apply_resolvent(self, stacked: np.ndarray) -> np.ndarray:
-        """Stage resolvent applied mode by mode to (..., s, c, band) stacks."""
-        s, c, nb = stacked.shape[-3:]
-        flat = stacked.reshape(-1, s * c, nb)
-        # einsum lays the result out mode-major, so the reshape back is a view
-        return np.einsum("kab,nbk->nak", self._resolvent, flat).reshape(stacked.shape)
-
-    def _force_stack(self, stages: np.ndarray) -> np.ndarray:
-        return self.model.force(self.grid, stages, self.m)
-
-    def _rhs(self, u_coeffs: np.ndarray, force: np.ndarray) -> np.ndarray:
-        mixed = np.einsum("ij,...jcm->...icm", self.tab.a, force)
-        return u_coeffs + self.h * mixed
+    def _stage_map(self, w0: np.ndarray, force: np.ndarray) -> np.ndarray:
+        """W_0 + G B(W) for (..., s, c, band) force stacks; w0 is W_0 as (sc, band)."""
+        flat = force.reshape(*force.shape[:-3], *w0.shape)
+        return (w0 + np.einsum("pqk,...qk->...pk", self._gain, flat)).reshape(force.shape)
 
     # -- public ------------------------------------------------------------
 
     def solve_stages(self, U: FourierState) -> StageResult:
         um = self.model.project(U, self.m)
-        scale = 1.0 + y_norm(um, self.model.q)
-        stages = self._apply_resolvent(np.repeat(um.coeffs[None], self.tab.stages, axis=0))
-        if self.h == 0.0:
-            return StageResult(stages, 1, 0.0)
+        scale = 1.0 + math.sqrt(self._sq_norms(um.coeffs))
+        w0 = (self._base * um.coeffs).sum(axis=-2)
+        stages = w0.reshape(self.tab.stages, -1, self.grid.band_size)
         if self.config.scheme == "newton_on_modes":
-            return self._solve_newton(um, stages, scale)
-        floor = 50.0 * np.finfo(float).eps
+            return self._solve_newton(w0, stages, scale)
         prev = math.inf
+        force = self.model.force(self.grid, stages, self.m)
         for it in range(1, self.config.max_iter + 1):
-            force = self._force_stack(stages)
-            new = self._apply_resolvent(self._rhs(um.coeffs, force))
-            # largest stage norm of the update; NaN if any stage is NaN
-            res = float(np.max(y_norms(self.grid, new - stages, self.model.q))) / scale
+            new = self._stage_map(w0, force)
+            # largest stage energy norm of the update; NaN if any stage is NaN
+            res = math.sqrt(self._sq_norms(new - stages).max()) / scale
             stages = new
             if not math.isfinite(res):
                 raise ConvergenceError("stage iteration produced a non-finite residual", res, it)
+            force = self.model.force(self.grid, stages, self.m)
             if res <= self.config.tol:
-                return StageResult(stages, it, res)
-            if res <= floor or (res < 1e-9 and res > 0.5 * prev):
+                return StageResult(stages, it, res, force)
+            if res <= _STAGNATION_FLOOR or (res < 1e-9 and res > 0.5 * prev):
                 # machine-precision stagnation: the iterate stopped improving
-                return StageResult(stages, it, res)
+                return StageResult(stages, it, res, force)
             prev = res
         raise ConvergenceError("stage iteration did not converge", res, self.config.max_iter)
 
@@ -241,33 +243,30 @@ class Stepper:
     def _chart(self) -> RealChart:
         return self.model.chart(self.grid, self.m)
 
-    def _solve_newton(self, um: FourierState, stages: np.ndarray, scale: float) -> StageResult:
+    def _solve_newton(self, w0: np.ndarray, stages: np.ndarray, scale: float) -> StageResult:
         chart, s = self._chart, self.tab.stages
 
         def pack(st: np.ndarray) -> np.ndarray:  # (..., s, c, band) -> (..., s*dim)
             return chart.coeffs_to_real(st).reshape(*st.shape[:-3], -1)
 
-        def unpack(z: np.ndarray) -> np.ndarray:  # (..., s*dim) -> (..., s, c, band)
-            return chart.real_to_coeffs(z.reshape(*z.shape[:-1], s, -1))
-
-        def residual_vec(z: np.ndarray) -> np.ndarray:
-            st = unpack(z)
-            g = st - self._apply_resolvent(self._rhs(um.coeffs, self._force_stack(st)))
-            return pack(g)
+        def residual(z: np.ndarray):  # (..., s*dim) -> stages, their forces, residual
+            st = chart.real_to_coeffs(z.reshape(*z.shape[:-1], s, -1))
+            force = self.model.force(self.grid, st, self.m)
+            return st, force, pack(st - self._stage_map(w0, force))
 
         z = pack(stages)
         dim = z.size
         for it in range(1, self.config.max_iter + 1):
-            r = residual_vec(z)
+            stages, force, r = residual(z)
             res = float(np.linalg.norm(r)) / scale
             if not math.isfinite(res):
                 raise ConvergenceError("Newton stage solve produced a non-finite residual", res, it)
             if res <= self.config.tol:
-                return StageResult(unpack(z), it, res)
+                return StageResult(stages, it, res, force)
             # central differences along every chart axis, all 2 dim states in one stack
             eps = 1e-7 * (1.0 + float(np.linalg.norm(z)))
             shift = eps * np.eye(dim)
-            g = residual_vec(np.concatenate((z + shift, z - shift)))
+            g = residual(np.concatenate((z + shift, z - shift)))[2]
             jac = ((g[:dim] - g[dim:]) / (2 * eps)).T
             try:
                 z = z - np.linalg.solve(jac, r)
@@ -277,14 +276,9 @@ class Stepper:
 
     def step(self, U: FourierState) -> FourierState:
         um = self.model.project(U, self.m)
-        stages = self.solve_stages(um)
-        lin = np.einsum("kij,jk->ik", self._stability, um.coeffs)
-        if self.h == 0.0:
-            return FourierState(self.grid, lin)
-        force = self._force_stack(stages.stages)
-        flat = force.reshape(-1, self.grid.band_size)
-        corr = np.einsum("kca,ak->ck", self._update_row, flat)
-        return FourierState(self.grid, lin + corr)
+        forces = self.solve_stages(um).forces.reshape(-1, self.grid.band_size)
+        both = np.concatenate((forces, um.coeffs))  # (sc + c, band)
+        return FourierState(self.grid, (self._update * both).sum(axis=1))
 
 
 def linear_operator_bounds(
@@ -313,7 +307,7 @@ def linear_operator_bounds(
         ds = np.tile(d, s)
         res = stepper._resolvent[k] * (ds[:, None] / ds[None, :])
         lam = max(lam, float(np.linalg.norm(res, 2)))
-        stab = stepper._stability[k] * (d[:, None] / d[None, :])
+        stab = stepper._stability[..., k] * (d[:, None] / d[None, :])
         cs = max(cs, float(np.linalg.norm(stab, 2)))
     return {"resolvent": lam, "one_plus_resolvent": 1.0 + lam, "stability": cs}
 

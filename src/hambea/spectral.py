@@ -70,25 +70,22 @@ class FourierGrid:
     def band_size(self) -> int:
         return 2 * self.n_modes + 1
 
-    @functools.cached_property
-    def _band_slots(self) -> np.ndarray:
-        """FFT-array positions of the band modes, built once per grid (read-only)."""
-        slots = np.mod(self.wavenumbers, self.n_phys)
-        slots.flags.writeable = False
-        return slots
-
     def to_phys(self, coeffs: np.ndarray) -> np.ndarray:
         """Evaluate band coefficients on the physical grid (last axis = modes)."""
         coeffs = np.asarray(coeffs)
+        K = self.n_modes
         full = np.zeros(coeffs.shape[:-1] + (self.n_phys,), dtype=complex)
-        full[..., self._band_slots] = coeffs
+        full[..., : K + 1] = coeffs[..., K:]  # k = 0 .. K at FFT positions 0 .. K
+        full[..., self.n_phys - K :] = coeffs[..., :K]  # k = -K .. -1 at the end
         return np.fft.ifft(full, axis=-1) * (self.n_phys / _SQRT_2PI)
 
     def to_coeffs(self, values: np.ndarray) -> np.ndarray:
         """Band coefficients of grid values (exact for band-limited data)."""
         values = np.asarray(values, dtype=complex)
-        full = np.fft.fft(values, axis=-1) * (_SQRT_2PI / self.n_phys)
-        return full[..., self._band_slots]
+        full, K = np.fft.fft(values, axis=-1), self.n_modes
+        band = np.concatenate((full[..., self.n_phys - K :], full[..., : K + 1]), axis=-1)
+        band *= _SQRT_2PI / self.n_phys  # the same product per mode as scaling full first
+        return band
 
     def quadrature(self, density: np.ndarray) -> complex | float:
         """Trapezoidal integral of grid values over the circle (spectrally exact)."""
@@ -215,12 +212,6 @@ def gevrey_norm(state: FourierState, idx: GevreyIndex) -> float:
 def y_norm(state: FourierState, q: float) -> float:
     """Plain energy norm, i.e. the Gevrey norm at tau = ell = 0."""
     return gevrey_norm(state, GevreyIndex(0.0, 0.0, q))
-
-
-def y_norms(grid: FourierGrid, coeffs: np.ndarray, q: float) -> np.ndarray:
-    """y_norm of each state of a stack (..., c, band), summed in y_norm's order."""
-    w = _mode_weights(grid, coeffs.shape[-2], GevreyIndex(0.0, 0.0, q))
-    return np.sqrt(np.sum((w * np.abs(np.ascontiguousarray(coeffs))) ** 2, axis=(-2, -1)))
 
 
 def weighted_inner(a: FourierState, b: FourierState, idx: GevreyIndex) -> complex:

@@ -1,6 +1,7 @@
 """Config grammar, initial data, study CSVs, plot scripts, and the CLI."""
 
 import copy
+import csv
 import json
 import math
 import py_compile
@@ -222,6 +223,34 @@ def test_explicit_entry_values_must_be_numbers(tmp_path, index, field):
     assert cli_main(["integrate", "--config", cfg_path]) == 2
 
 
+# (field as the error names it, its path in the config, run keys it needs)
+_FLOAT_FIELDS = [
+    ("run.T", ("run", "T"), {}),
+    ("run.h entry", ("run", "h", 0), {}),
+    ("run.h.factor", ("run", "h", "factor"), {"h": {"start": 0.1, "factor": 0.5, "count": 2}}),
+    ("run.m", ("run", "m"), {}),
+    ("method.stage_tol", ("method", "stage_tol"), {}),
+    ("run.initial.tau", ("run", "initial", "tau"), {}),
+    ("bea.chi", ("bea", "chi"), {}),
+    ("explicit entry re", ("run", "initial", "entries", 0, 2), {"initial": _EXPLICIT}),
+]
+
+
+@pytest.mark.parametrize("field,path,run_keys", _FLOAT_FIELDS, ids=[f[0] for f in _FLOAT_FIELDS])
+def test_number_fields_refuse_non_finite_values(tmp_path, field, path, run_keys):
+    # NaN and the infinities (which JSON readers accept) are a config error
+    # naming the field, and the CLI exits 2 instead of failing mid-run
+    d = base_config()
+    d["run"].update(copy.deepcopy(run_keys))
+    ExperimentConfig.from_dict(copy.deepcopy(d))
+    for bad in (math.nan, math.inf, -math.inf):
+        _set(d, path, bad)
+        cfg_path = write_config(tmp_path, d)
+        with pytest.raises(ConfigError, match=re.escape(field) + " must be a finite number"):
+            load_config(cfg_path)
+        assert cli_main(["integrate", "--config", cfg_path]) == 2
+
+
 # -- initial data -------------------------------------------------------------
 
 
@@ -349,6 +378,22 @@ def test_bea_verify_tables(tmp_path):
     # explicit policy leaves the coupled-fit table empty apart from its header
     expfit = (tmp_path / "bea_expfit.csv").read_text(encoding="utf-8").splitlines()
     assert len(expfit) == 1
+
+
+def test_bea_failed_closeness_terms_write_error_rows(tmp_path):
+    # an order above the jet cap fails every bea table's points; each table
+    # still gets written, with error rows, and the study exits 0
+    d = base_config()
+    d["bea"]["n"] = [13]
+    out = tmp_path / "o"
+    assert cli_main(["bea", "--config", write_config(tmp_path, d), "--out", str(out)]) == 0
+    for name in ("bea_embedding", "bea_hclose", "bea_gradcons", "bea_expfit"):
+        assert (out / f"{name}.csv").exists(), name
+    with open(out / "bea_hclose.csv", newline="", encoding="utf-8") as f:
+        rows = list(csv.DictReader(f))
+    assert [r["h"] for r in rows] == ["%.17g" % h for h in d["run"]["h"]]
+    assert {r["status"] for r in rows} == {"error:OrderCapError"}
+    assert {r["H_tilde"] for r in rows} == {""}
 
 
 # -- plot scripts -------------------------------------------------------------

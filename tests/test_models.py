@@ -445,7 +445,6 @@ def test_shared_caches_are_read_only(nls, wave_cubic):
     grid = nls.make_grid(4)
     shared = [
         _mode_weights(grid, 1, GevreyIndex(0.0, 0.0, 2.0)),
-        grid._band_slots,
         nls.a_blocks(grid),
         wave_cubic.a_blocks(wave_cubic.make_grid(4)),
     ]

@@ -18,7 +18,6 @@ from hambea import (
     y_norm,
 )
 from hambea.rk import linear_operator_bounds, symplecticity_residual
-from hambea.spectral import y_norms
 
 from conftest import MODEL_SPECS, fit_loglog_slope, random_state, same_bits
 
@@ -167,6 +166,15 @@ def test_linear_step_is_stability_multiplier():
         assert out.mode(k) == pytest.approx(mult * s.mode(k), abs=1e-13)
 
 
+def _definitional_map(stepper, U, W=None):
+    """R (1 (x) U + h a (x) B(W)) straight from the definition; W = None drops B."""
+    model, grid, tab = stepper.model, stepper.grid, stepper.tab
+    shape = (tab.stages, model.components, grid.band_size)
+    force = np.zeros(shape, dtype=complex) if W is None else model.force(grid, W, stepper.m)
+    rhs = model.project(U, stepper.m).coeffs + stepper.h * np.einsum("ij,jcm->icm", tab.a, force)
+    return np.einsum("kab,bk->ak", stepper._resolvent, rhs.reshape(-1, shape[-1])).reshape(shape)
+
+
 def test_stage_residual_definition(nls, rng):
     # the returned stages satisfy the fixed-point equation to tolerance
     grid = nls.make_grid(5)
@@ -178,10 +186,71 @@ def test_stage_residual_definition(nls, rng):
     res = stepper.solve_stages(s)
     assert res.residual <= 1e-12
     assert res.iterations < 50
-    # residual check straight from the definition: W = resolvent(1 U + h a B(W))
-    force = np.stack([nls.apply_B(FourierState(grid, st)).coeffs for st in res.stages])
-    defect = stepper._apply_resolvent(stepper._rhs(s.coeffs, force)) - res.stages
+    # residual check straight from the definition: W = R (1 U + h a B(W))
+    defect = _definitional_map(stepper, s, res.stages) - res.stages
     assert np.max(np.abs(defect)) < 5e-12
+
+
+@pytest.mark.parametrize("scheme", ["fixed_point", "newton_on_modes"])
+@pytest.mark.parametrize("key", ["nls-cubic", "sine-gordon"])  # c = 1 and c = 2
+@pytest.mark.parametrize("m", [None, 4.0])  # at K = 5, m = 4 cuts both bands
+def test_stage_forces_are_the_force_of_the_stages(scheme, key, m, rng):
+    model = make_model(*MODEL_SPECS[key])
+    grid = model.make_grid(5)
+    U = random_state(grid, model.components, rng, real_field=model.is_real_field)
+    config = StageSolveConfig(scheme=scheme, tol=1e-13)
+    res = Stepper(model, grid, make_tableau("gauss2"), 0.08, m, config).solve_stages(U)
+    assert res.forces.shape == res.stages.shape
+    assert same_bits(res.forces, model.force(grid, res.stages, m))
+
+
+def _recording_force(model, monkeypatch):
+    """Patch model.force to record each (input, output) pair."""
+    calls, force = [], model.force
+
+    def recording(grid, coeffs, m=None):
+        out = force(grid, coeffs, m)
+        calls.append((np.array(coeffs), out))
+        return out
+
+    monkeypatch.setattr(model, "force", recording)
+    return calls
+
+
+@pytest.mark.parametrize("key", ["nls-cubic", "sine-gordon"])
+def test_fixed_point_step_forces_each_iterate_once(key, rng, monkeypatch):
+    # B is evaluated at W_0 and at each iterate, the returned stages included,
+    # and step() reuses the last of these for the update
+    model = make_model(*MODEL_SPECS[key])
+    grid = model.make_grid(6)
+    U = random_state(grid, model.components, rng, real_field=model.is_real_field)
+    stepper = Stepper(model, grid, make_tableau("gauss2"), 0.05)
+    calls = _recording_force(model, monkeypatch)
+    res = stepper.solve_stages(U)
+    assert len(calls) == res.iterations + 1 >= 3
+    assert same_bits(calls[-1][0], res.stages) and calls[-1][1] is res.forces
+    # the residual is the largest per-stage energy norm of the last update
+    delta = calls[-1][0] - calls[-2][0]
+    norms = [y_norm(FourierState(grid, d), model.q) for d in delta]
+    assert same_bits(res.residual, max(norms) / (1.0 + y_norm(U, model.q)))
+    calls.clear()
+    stepper.step(U)
+    assert len(calls) == res.iterations + 1
+
+
+def test_newton_step_forces_nothing_after_its_last_residual(wave_sg, rng, monkeypatch):
+    grid = wave_sg.make_grid(4)
+    U = random_state(grid, 2, rng, real_field=True)
+    newton = StageSolveConfig(scheme="newton_on_modes", tol=1e-13)
+    stepper = Stepper(wave_sg, grid, make_tableau("gauss2"), 0.05, config=newton)
+    res = stepper.solve_stages(U)
+    calls = _recording_force(wave_sg, monkeypatch)
+    out = stepper.step(U)
+    # one residual and one stacked Jacobian per iteration, then the final residual
+    assert len(calls) == 2 * res.iterations - 1 and res.iterations >= 2
+    assert same_bits(calls[-1][0], res.stages) and same_bits(calls[-1][1], res.forces)
+    monkeypatch.undo()
+    assert same_bits(out.coeffs, stepper.step(U).coeffs)
 
 
 def test_stage_solver_nonconvergence_raises(nls, rng):
@@ -225,12 +294,13 @@ def _newton_reference(stepper, U):
     def unpack(z):
         return np.stack([chart.from_real(p).coeffs for p in np.split(z, s)])
 
+    w0 = (stepper._base * um.coeffs).sum(axis=-2)
+
     def residual_vec(z):
         st = unpack(z)
-        force = stepper._force_stack(st)
-        return pack(st - stepper._apply_resolvent(stepper._rhs(um.coeffs, force)))
+        return pack(st - stepper._stage_map(w0, model.force(grid, st, m)))
 
-    z = pack(stepper._apply_resolvent(np.repeat(um.coeffs[None], s, axis=0)))
+    z = pack(w0.reshape(s, model.components, -1))
     jacs = []
     for it in range(1, stepper.config.max_iter + 1):
         r = residual_vec(z)
@@ -321,20 +391,20 @@ def test_non_finite_stages_raise(nls):
 
 @pytest.mark.parametrize("tab_name", ["midpoint", "gauss2", "gauss3"])
 def test_residual_norm_matches_per_stage_norms(nls, wave_cubic, tab_name, rng):
-    # one reduction over the stepper's strided stage stack gives the bits of
-    # each per-stage y_norm
+    # the stepper's one reduction over a stage stack gives the bits of each
+    # per-stage y_norm, on the updates of the definitional iteration
     for model in (nls, wave_cubic):
         for K in (8, 16, 32, 64):
             grid = model.make_grid(K)
             st = Stepper(model, grid, make_tableau(tab_name), 0.05)
             u = random_state(grid, model.components, rng, scale=1.0, decay=0.2,
                              real_field=model.is_real_field)
-            stages = st._apply_resolvent(np.repeat(u.coeffs[None], st.tab.stages, axis=0))
+            stages = _definitional_map(st, u)
             for _ in range(4):
-                new = st._apply_resolvent(st._rhs(u.coeffs, st._force_stack(stages)))
+                new = _definitional_map(st, u, stages)
                 delta, stages = new - stages, new
                 want = np.array([y_norm(FourierState(grid, d), model.q) for d in delta])
-                assert same_bits(y_norms(grid, delta, model.q), want)
+                assert same_bits(np.sqrt(st._sq_norms(delta)), want)
 
 
 def test_band_invariance(nls, rng):

@@ -16,9 +16,15 @@ from hambea import (
     tail_bound_check,
     y_norm,
 )
-from hambea.spectral import band_mask, hermitian_defect, l2_inner, symmetrize_real
+from hambea.spectral import (
+    _SQRT_2PI,
+    band_mask,
+    hermitian_defect,
+    l2_inner,
+    symmetrize_real,
+)
 
-from conftest import random_state
+from conftest import random_state, same_bits
 
 
 # -- grid and transforms ------------------------------------------------------
@@ -36,6 +42,32 @@ def test_transform_roundtrip_identity(rng):
     )
     back = grid.to_coeffs(grid.to_phys(coeffs))
     assert np.max(np.abs(back - coeffs)) < 1e-12 * np.max(np.abs(coeffs))
+
+
+def _slot_reference(grid, coeffs=None, values=None):
+    """The transforms through a fancy index of FFT slots k mod n_phys."""
+    slots = np.mod(grid.wavenumbers, grid.n_phys)
+    if values is not None:
+        full = np.fft.fft(np.asarray(values, dtype=complex), axis=-1)
+        return (full * (_SQRT_2PI / grid.n_phys))[..., slots]
+    full = np.zeros(coeffs.shape[:-1] + (grid.n_phys,), dtype=complex)
+    full[..., slots] = coeffs
+    return np.fft.ifft(full, axis=-1) * (grid.n_phys / _SQRT_2PI)
+
+
+@pytest.mark.parametrize("K", [1, 2, 8, 64])
+@pytest.mark.parametrize("extra", [0, 1, 6])  # odd and even n_phys, tight and padded
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+def test_transforms_match_the_slot_reference(K, extra, lead, rng):
+    grid = FourierGrid(n_modes=K, n_phys=2 * K + 1 + extra)
+    coeffs = rng.standard_normal((*lead, grid.band_size)) + 1j * rng.standard_normal(
+        (*lead, grid.band_size)
+    )
+    coeffs[..., ::3] = -0.0  # signed zeros survive the slice copies
+    assert same_bits(grid.to_phys(coeffs), _slot_reference(grid, coeffs=coeffs))
+    values = rng.standard_normal((*lead, grid.n_phys))
+    for v in (values, values + 1j * rng.standard_normal(values.shape)):  # real and complex
+        assert same_bits(grid.to_coeffs(v), _slot_reference(grid, values=v))
 
 
 def test_quadrature_integrates_constant():

@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 import hambea
+from hambea.harness.studies import _canonical_steps
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -31,15 +32,15 @@ print(json.dumps({"want": [n for n, _u, _b in spans.LAYER_METRICS], "got": sorte
 """
 
 
-# a bea study traced as bench/worker.py traces it: the CLI imported first,
-# then the recorder installed over it
-_TRACED_BEA = """
+# a study traced as bench/worker.py traces it: the CLI imported first, then
+# the recorder installed over it
+_TRACED_STUDY = """
 import json, sys
 import hambea.harness.cli as cli
 import hambea.harness.config as hconfig
 import spans
 rec = spans.install()
-cli._STUDIES["bea"](hconfig.load_config(sys.argv[1]), out_dir=sys.argv[2], seed=7)
+cli._STUDIES[sys.argv[3]](hconfig.load_config(sys.argv[1]), out_dir=sys.argv[2], seed=7)
 print(json.dumps(rec.layer_metrics()))
 """
 
@@ -115,6 +116,22 @@ def test_tracer_reads_the_bea_layers(tmp_path):
     # benchmark run without failing it
     from test_harness import base_config, write_config
 
-    got = _fresh_python(_TRACED_BEA, write_config(tmp_path, base_config()), str(tmp_path))
+    got = _fresh_python(
+        _TRACED_STUDY, write_config(tmp_path, base_config()), str(tmp_path), "bea"
+    )
     for name in ("bea.modified_flow.calls", "bea.modified_flow.nfev", "hjet.expand.calls"):
         assert got[name] > 0, name
+
+
+def test_tracer_reads_the_stepping_layers(tmp_path):
+    # the stepping stack is what the traj-nls64 workload measures; a refactor
+    # that moved the transforms or the step out of the wrapped names would
+    # leave these at 0
+    from test_harness import base_config, write_config
+
+    cfg = base_config()
+    got = _fresh_python(_TRACED_STUDY, write_config(tmp_path, cfg), str(tmp_path), "integrate")
+    steps, _h = _canonical_steps(cfg["run"]["T"], cfg["run"]["h"][0])
+    assert got["rk.step.calls"] == steps
+    assert got["spectral.fft.calls"] > 0
+    assert got["rk.stage_iters_per_step"] > 0
