@@ -13,13 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from ..errors import (
-    ConfigError,
-    ConvergenceError,
-    DomainError,
-    OrderCapError,
-    PoleError,
-)
+from ..errors import ConfigError, HambeaError
 from .config import load_config
 from .plots import _TEMPLATES, emit_plots
 from .studies import (
@@ -105,7 +99,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (ConvergenceError, PoleError, DomainError, OrderCapError, FloatingPointError) as e:
+    except (HambeaError, FloatingPointError) as e:  # every other HambeaError is numerical
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
     except OSError as e:

@@ -34,14 +34,17 @@ condition kinds:
 - ``explicit(entries)``: a list of ``[k, component, re, im]`` rows.
 
 For real-field models, entries given at k > 0 are mirrored conjugately to -k
-unless -k is set explicitly.  Integer fields (band, n_phys, max_iter, samples,
-h.count, seed, k, component, the bea.n entries, n_max and the k and component
-of explicit entries) take integers or integral floats such as 16.0; any other
-value, true and false included, is a ConfigError.  Every other numeric field
-takes finite numbers only; NaN and the infinities are a ConfigError naming
-the field.  A parsed config
-re-serializes to the identical canonical dict, and its SHA-256 hash (first 12
-hex digits) stamps every CSV row the harness writes.
+unless -k is set explicitly.  ``model.params`` takes ``sigma`` and ``lam``
+for nls, ``rho_min`` for nonlocal_nls, and for wave a ``potential`` with
+``kind`` poly (``coeffs``, power -> coefficient) or sine_gordon (``gamma``);
+unknown keys are a ConfigError, as in every other section.  Integer fields
+(band, n_phys, max_iter, samples, h.count, seed, k, component, the bea.n
+entries, n_max, the k and component of explicit entries and params.sigma)
+take integers or integral floats such as 16.0; any other value, true and
+false included, is a ConfigError.  Every other numeric field takes finite
+numbers only; NaN and the infinities are a ConfigError naming the field.  A
+parsed config re-serializes to the identical canonical dict, and its SHA-256
+hash (first 12 hex digits) stamps every CSV row the harness writes.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import numpy.random  # loaded at import, not in a study run (see spectral.py)
@@ -62,7 +65,13 @@ from ..rk import StageSolveConfig, make_tableau
 from ..spectral import FourierGrid, FourierState, hermitian_defect
 
 TABLEAU_IDS = ("midpoint", "gauss1", "gauss2", "gauss3")
-IC_KINDS = ("gevrey_decay", "plane_wave", "explicit")
+# the keys of run.initial for each kind, in canonical order
+_IC_KEYS = {
+    "gevrey_decay": ("kind", "tau", "ell", "amplitude", "seed"),
+    "plane_wave": ("kind", "k", "component", "amplitude"),
+    "explicit": ("kind", "entries"),
+}
+IC_KINDS = tuple(_IC_KEYS)
 POLICY_MODES = ("explicit", "coupled")
 OUTPUT_FORMATS = ("csv", "plots")
 
@@ -86,6 +95,42 @@ def _coerce_int(value, where: str) -> int:
     return int(value)
 
 
+def _check_fields(d, fields: dict | None, where: str) -> None:
+    """Refuse a non-object, keys outside fields, and values their checks refuse.
+
+    fields maps each key to its check, or to None for none; fields None takes
+    any key with a finite number.
+    """
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be an object")
+    fields = dict.fromkeys(d, _coerce_number) if fields is None else fields
+    _reject_unknown(d, tuple(fields), where)
+    for key, check in fields.items():
+        if check is not None and key in d:
+            check(d[key], f"{where}.{key}")
+
+
+_POTENTIAL_FIELDS = {
+    "poly": {"kind": None, "coeffs": lambda coeffs, where: _check_fields(coeffs, None, where)},
+    "sine_gordon": {"kind": None, "gamma": _coerce_number},
+}
+
+
+def _check_potential(pot, where: str) -> None:
+    kind = pot.get("kind", "poly") if isinstance(pot, dict) else "poly"
+    if kind in _POTENTIAL_FIELDS:  # make_model refuses any other kind
+        _check_fields(pot, _POTENTIAL_FIELDS[kind], where)
+
+
+# model.params per model, each key with its check; make_model refuses any other
+# model.  The params dict is stored as given, so the config hash keeps its value.
+_PARAM_FIELDS = {
+    "nls": {"sigma": _coerce_int, "lam": _coerce_number},
+    "nonlocal_nls": {"rho_min": _coerce_number},
+    "wave": {"potential": _check_potential},
+}
+
+
 @dataclass
 class ModelSection:
     name: str
@@ -98,23 +143,20 @@ class ModelSection:
         _reject_unknown(d, ("name", "params", "band", "n_phys"), "model")
         if "name" not in d:
             raise ConfigError("model.name is required")
+        name, params = str(d["name"]), d.get("params", {})
+        if not isinstance(params, dict):
+            raise ConfigError("model.params must be an object")
+        if name in _PARAM_FIELDS:
+            _check_fields(params, _PARAM_FIELDS[name], "model.params")
         out = cls(
-            name=str(d["name"]),
-            params=dict(d.get("params", {})),
+            name=name,
+            params=dict(params),
             band=_coerce_int(d.get("band", 16), "model.band"),
             n_phys=None if d.get("n_phys") is None else _coerce_int(d["n_phys"], "model.n_phys"),
         )
         if out.band < 1:
             raise ConfigError("model.band must be a positive integer")
         return out
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "params": self.params,
-            "band": self.band,
-            "n_phys": self.n_phys,
-        }
 
 
 @dataclass
@@ -143,14 +185,6 @@ class MethodSection:
             raise ConfigError("method.max_iter must be at least 1")
         return out
 
-    def to_dict(self) -> dict:
-        return {
-            "tableau": self.tableau,
-            "stage_tol": self.stage_tol,
-            "solver": self.solver,
-            "max_iter": self.max_iter,
-        }
-
     def stage_config(self) -> StageSolveConfig:
         return StageSolveConfig(
             scheme=self.solver, tol=self.stage_tol, max_iter=self.max_iter
@@ -171,8 +205,10 @@ class InitialConditionSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "InitialConditionSpec":
         kind = str(d.get("kind", "gevrey_decay"))
+        if kind not in _IC_KEYS:
+            raise ConfigError(f"run.initial.kind must be one of {IC_KINDS}, got {kind!r}")
+        _reject_unknown(d, _IC_KEYS[kind], "run.initial")
         if kind == "gevrey_decay":
-            _reject_unknown(d, ("kind", "tau", "ell", "amplitude", "seed"), "run.initial")
             out = cls(
                 kind=kind,
                 tau=_coerce_number(d.get("tau", 0.5), "run.initial.tau"),
@@ -184,51 +220,32 @@ class InitialConditionSpec:
                 raise ConfigError("gevrey_decay needs tau > 0, ell >= 0, amplitude > 0")
             return out
         if kind == "plane_wave":
-            _reject_unknown(d, ("kind", "k", "component", "amplitude"), "run.initial")
             return cls(
                 kind=kind,
                 k=_coerce_int(d.get("k", 1), "run.initial.k"),
                 component=_coerce_int(d.get("component", 0), "run.initial.component"),
                 amplitude=_coerce_number(d.get("amplitude", 0.4), "run.initial.amplitude"),
             )
-        if kind == "explicit":
-            _reject_unknown(d, ("kind", "entries"), "run.initial")
-            entries = d.get("entries", [])
-            if not isinstance(entries, list) or not entries:
-                raise ConfigError("explicit initial condition needs a nonempty entries list")
-            parsed = []
-            for row in entries:
-                if not isinstance(row, list) or len(row) != 4:
-                    raise ConfigError(
-                        "each explicit entry must be [k, component, re, im], "
-                        f"got {row!r}"
-                    )
-                parsed.append([
-                    _coerce_int(row[0], "explicit entry k"),
-                    _coerce_int(row[1], "explicit entry component"),
-                    _coerce_number(row[2], "explicit entry re"),
-                    _coerce_number(row[3], "explicit entry im"),
-                ])
-            return cls(kind=kind, entries=parsed)
-        raise ConfigError(f"run.initial.kind must be one of {IC_KINDS}, got {kind!r}")
+        entries = d.get("entries", [])
+        if not isinstance(entries, list) or not entries:
+            raise ConfigError("explicit initial condition needs a nonempty entries list")
+        parsed = []
+        for row in entries:
+            if not isinstance(row, list) or len(row) != 4:
+                raise ConfigError(
+                    "each explicit entry must be [k, component, re, im], "
+                    f"got {row!r}"
+                )
+            parsed.append([
+                _coerce_int(row[0], "explicit entry k"),
+                _coerce_int(row[1], "explicit entry component"),
+                _coerce_number(row[2], "explicit entry re"),
+                _coerce_number(row[3], "explicit entry im"),
+            ])
+        return cls(kind=kind, entries=parsed)
 
     def to_dict(self) -> dict:
-        if self.kind == "gevrey_decay":
-            return {
-                "kind": self.kind,
-                "tau": self.tau,
-                "ell": self.ell,
-                "amplitude": self.amplitude,
-                "seed": self.seed,
-            }
-        if self.kind == "plane_wave":
-            return {
-                "kind": self.kind,
-                "k": self.k,
-                "component": self.component,
-                "amplitude": self.amplitude,
-            }
-        return {"kind": self.kind, "entries": self.entries}
+        return {key: getattr(self, key) for key in _IC_KEYS[self.kind]}
 
 
 def _parse_h(value) -> list[float]:
@@ -285,15 +302,6 @@ class RunSection:
             raise ConfigError("run.m must be positive when given")
         return out
 
-    def to_dict(self) -> dict:
-        return {
-            "h": self.h,
-            "T": self.T,
-            "initial": self.initial.to_dict(),
-            "samples": self.samples,
-            "m": self.m,
-        }
-
 
 @dataclass
 class BeaSection:
@@ -343,19 +351,6 @@ class BeaSection:
             raise ConfigError("coupled bea policy requires tau > 0")
         return out
 
-    def to_dict(self) -> dict:
-        return {
-            "policy": self.policy,
-            "n": self.n,
-            "m": self.m,
-            "tau": self.tau,
-            "delta": self.delta,
-            "chi": self.chi,
-            "c_F": self.c_F,
-            "n_max": self.n_max,
-            "q": self.q,
-        }
-
 
 @dataclass
 class OutputSection:
@@ -373,9 +368,6 @@ class OutputSection:
             if f not in OUTPUT_FORMATS:
                 raise ConfigError(f"output.formats entries must be among {OUTPUT_FORMATS}")
         return out
-
-    def to_dict(self) -> dict:
-        return {"directory": self.directory, "formats": self.formats}
 
 
 @dataclass
@@ -405,13 +397,10 @@ class ExperimentConfig:
         return cfg
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model.to_dict(),
-            "method": self.method.to_dict(),
-            "run": self.run.to_dict(),
-            "bea": self.bea.to_dict(),
-            "output": self.output.to_dict(),
-        }
+        """Every field of every section; run.initial keeps only its kind's keys."""
+        out = asdict(self)
+        out["run"]["initial"] = self.run.initial.to_dict()
+        return out
 
     def validate(self) -> None:
         model = self.resolve_model()

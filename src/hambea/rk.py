@@ -25,7 +25,8 @@ stack of all 2 dim perturbed stage states.  The update
 with S(z) = 1 + z b^T (I - z a)^{-1} 1 the stability function, reuses the
 forces B(W) that the stage solve returns with its stages.  Everything is
 restricted to the projection band of radius m throughout, so the step map
-leaves P_m Y invariant exactly.
+leaves P_m Y invariant exactly; P_m acts mode by mode and is folded into the
+per-mode arrays that read the input, so a step of U is the step of P_m U.
 """
 
 from __future__ import annotations
@@ -179,6 +180,7 @@ class Stepper:
         self.m = m
         self.config = config or StageSolveConfig()
         s, c = tab.stages, model.components
+        mask = band_mask(grid, m, model.q)  # P_m acts per mode, folded into what reads U
         blocks = model.a_blocks(grid)  # (band, c, c)
         eye = np.eye(s * c)
         mats = eye[None, :, :] - self.h * np.kron(tab.a, np.ones((c, c)))[None, :, :] * np.tile(
@@ -192,7 +194,7 @@ class Stepper:
         # and stability blocks I + h (b (x) I)^T R (1 (x) A), all with modes last
         rt = self._resolvent.transpose(1, 2, 0)
         cols = rt.reshape(s * c, s, c, -1)
-        self._base = cols.sum(axis=1)  # (sc, c, band)
+        self._base = cols.sum(axis=1) * mask  # (sc, c, band)
         self._gain = np.einsum("piyk,ij->pjyk", cols, self.h * tab.a).reshape(s * c, s * c, -1)
         update_row = self.h * np.einsum("i,ixpk->xpk", tab.b, rt.reshape(s, c, s * c, -1))
         self._stability = np.eye(c)[:, :, None] + np.einsum(
@@ -200,8 +202,8 @@ class Stepper:
         )
         # forces first: the step sums the small correction before adding S(hA) U, which
         # rounds once at the size of U (criterion 04's smallest-h drift is below one ulp of H)
-        self._update = np.concatenate((update_row, self._stability), axis=1)  # (c, sc+c, band)
-        self._weights = _mode_weights(grid, c, GevreyIndex(0.0, 0.0, model.q))
+        self._update = np.concatenate((update_row, self._stability), axis=1) * mask
+        self._weights = _mode_weights(grid, c, GevreyIndex(0.0, 0.0, model.q)) * mask
 
     def _sq_norms(self, coeffs: np.ndarray) -> np.ndarray:
         """Squared energy norms of a (..., c, band) stack, summed in y_norm's order."""
@@ -215,9 +217,9 @@ class Stepper:
     # -- public ------------------------------------------------------------
 
     def solve_stages(self, U: FourierState) -> StageResult:
-        um = self.model.project(U, self.m)
-        scale = 1.0 + math.sqrt(self._sq_norms(um.coeffs))
-        w0 = (self._base * um.coeffs).sum(axis=-2)
+        """Stages of the step from P_m U; U itself need not lie in the band."""
+        scale = 1.0 + math.sqrt(self._sq_norms(U.coeffs))
+        w0 = (self._base * U.coeffs).sum(axis=-2)
         stages = w0.reshape(self.tab.stages, -1, self.grid.band_size)
         if self.config.scheme == "newton_on_modes":
             return self._solve_newton(w0, stages, scale)
@@ -275,9 +277,9 @@ class Stepper:
         raise ConvergenceError("Newton stage solve did not converge", res, self.config.max_iter)
 
     def step(self, U: FourierState) -> FourierState:
-        um = self.model.project(U, self.m)
-        forces = self.solve_stages(um).forces.reshape(-1, self.grid.band_size)
-        both = np.concatenate((forces, um.coeffs))  # (sc + c, band)
+        """Psi_m^h(P_m U)."""
+        forces = self.solve_stages(U).forces.reshape(-1, self.grid.band_size)
+        both = np.concatenate((forces, U.coeffs))  # (sc + c, band)
         return FourierState(self.grid, (self._update * both).sum(axis=1))
 
 

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from hambea import ConfigError, GevreyIndex, tail_bound_check
+from hambea import ConfigError, ConvergenceError, GevreyIndex, Stepper, tail_bound_check
 from hambea.harness import (
     ExperimentConfig,
     build_initial_state,
@@ -22,6 +22,7 @@ from hambea.harness import (
     run_drift_study,
     run_integrate,
 )
+from hambea.harness.cli import _STUDIES
 from hambea.harness.cli import main as cli_main
 from hambea.harness.config import InitialConditionSpec
 from hambea.harness.plots import _TEMPLATES
@@ -79,11 +80,33 @@ def test_unknown_keys_rejected():
         lambda d: d["bea"].update(policy_mode="x"),
         lambda d: d["output"].update(dir="x"),
         lambda d: d["run"]["initial"].update(sigma=1),
+        lambda d: d["model"]["params"].update(lamda=1.0),
+        lambda d: d["model"].update(name="nonlocal_nls", params={"rho": 1e-3}),
+        lambda d: d["model"].update(name="wave", params={"potential": {"kind": "sine_gordon",
+                                                                      "gama": 1.0}}),
+        lambda d: d["model"].update(name="wave", params={"potential": {"coef": {"2": 0.5}}}),
+        lambda d: d["model"].update(name="wave", params={"kind": "poly"}),
     ):
         d = base_config()
         mutate(d)
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(d)
+
+
+def test_model_params_must_be_objects(tmp_path):
+    # a list where an object belongs is a config error (exit 2), not a traceback
+    for name, params, field in (
+        ("nls", [1], "model.params"),
+        ("kdv", [1], "model.params"),
+        ("wave", {"potential": [1]}, "model.params.potential"),
+        ("wave", {"potential": {"kind": "poly", "coeffs": [1]}}, "model.params.potential.coeffs"),
+    ):
+        d = base_config()
+        d["model"].update(name=name, params=params)
+        cfg_path = write_config(tmp_path, d)
+        with pytest.raises(ConfigError, match=re.escape(field) + " must be an object"):
+            load_config(cfg_path)
+        assert cli_main(["integrate", "--config", cfg_path]) == 2
 
 
 def test_required_sections():
@@ -170,29 +193,42 @@ def _set(d, path, value):
 _PLANE = {"kind": "plane_wave", "k": 1, "component": 0, "amplitude": 0.3}
 _EXPLICIT = {"kind": "explicit", "entries": [[1, 0, 0.3, 0.0]]}
 
-# (field as the error names it, its path in the config, run keys it needs)
+_GEOMETRIC_H = {"run": {"h": {"start": 0.1, "factor": 0.5, "count": 2}}}
+_SINE_GORDON = {"name": "wave", "params": {"potential": {"kind": "sine_gordon", "gamma": 1.0}}}
+_POLY = {"name": "wave", "params": {"potential": {"kind": "poly", "coeffs": {"2": 0.5, "4": 0.25}}}}
+
+
+def _with(d, sections):
+    """d with each {section: {key: value}} update applied."""
+    for section, keys in sections.items():
+        d[section].update(copy.deepcopy(keys))
+    return d
+
+
+# (field as the error names it, its path in the config, section keys it needs)
 _INT_FIELDS = [
     ("model.band", ("model", "band"), {}),
     ("model.n_phys", ("model", "n_phys"), {}),
+    ("model.params.sigma", ("model", "params", "sigma"), {}),
     ("method.max_iter", ("method", "max_iter"), {}),
     ("run.samples", ("run", "samples"), {}),
-    ("run.h.count", ("run", "h", "count"), {"h": {"start": 0.1, "factor": 0.5, "count": 2}}),
+    ("run.h.count", ("run", "h", "count"), _GEOMETRIC_H),
     ("run.initial.seed", ("run", "initial", "seed"), {}),
-    ("run.initial.k", ("run", "initial", "k"), {"initial": _PLANE}),
-    ("run.initial.component", ("run", "initial", "component"), {"initial": _PLANE}),
+    ("run.initial.k", ("run", "initial", "k"), {"run": {"initial": _PLANE}}),
+    ("run.initial.component", ("run", "initial", "component"), {"run": {"initial": _PLANE}}),
     ("bea.n entry", ("bea", "n", 0), {}),
     ("bea.n_max", ("bea", "n_max"), {}),
-    ("explicit entry k", ("run", "initial", "entries", 0, 0), {"initial": _EXPLICIT}),
-    ("explicit entry component", ("run", "initial", "entries", 0, 1), {"initial": _EXPLICIT}),
+    ("explicit entry k", ("run", "initial", "entries", 0, 0), {"run": {"initial": _EXPLICIT}}),
+    ("explicit entry component", ("run", "initial", "entries", 0, 1),
+     {"run": {"initial": _EXPLICIT}}),
 ]
 
 
-@pytest.mark.parametrize("field,path,run_keys", _INT_FIELDS, ids=[f[0] for f in _INT_FIELDS])
-def test_integer_fields_refuse_other_values(tmp_path, field, path, run_keys):
+@pytest.mark.parametrize("field,path,sections", _INT_FIELDS, ids=[f[0] for f in _INT_FIELDS])
+def test_integer_fields_refuse_other_values(tmp_path, field, path, sections):
     # a string, null, a fraction, a bool or NaN is a config error naming the
     # field, and the CLI exits 2, instead of a traceback or a truncation
-    d = base_config()
-    d["run"].update(copy.deepcopy(run_keys))
+    d = _with(base_config(), sections)
     ExperimentConfig.from_dict(copy.deepcopy(d))
     for bad in ("x", None, 2.5, True, math.nan):
         if bad is None and field in ("model.n_phys", "run.initial.seed"):
@@ -223,25 +259,31 @@ def test_explicit_entry_values_must_be_numbers(tmp_path, index, field):
     assert cli_main(["integrate", "--config", cfg_path]) == 2
 
 
-# (field as the error names it, its path in the config, run keys it needs)
+# (field as the error names it, its path in the config, section keys it needs)
 _FLOAT_FIELDS = [
     ("run.T", ("run", "T"), {}),
     ("run.h entry", ("run", "h", 0), {}),
-    ("run.h.factor", ("run", "h", "factor"), {"h": {"start": 0.1, "factor": 0.5, "count": 2}}),
+    ("run.h.factor", ("run", "h", "factor"), _GEOMETRIC_H),
     ("run.m", ("run", "m"), {}),
     ("method.stage_tol", ("method", "stage_tol"), {}),
     ("run.initial.tau", ("run", "initial", "tau"), {}),
     ("bea.chi", ("bea", "chi"), {}),
-    ("explicit entry re", ("run", "initial", "entries", 0, 2), {"initial": _EXPLICIT}),
+    ("explicit entry re", ("run", "initial", "entries", 0, 2), {"run": {"initial": _EXPLICIT}}),
+    ("model.params.lam", ("model", "params", "lam"), {}),
+    ("model.params.rho_min", ("model", "params", "rho_min"),
+     {"model": {"name": "nonlocal_nls", "params": {"rho_min": 1e-3}}}),
+    ("model.params.potential.gamma", ("model", "params", "potential", "gamma"),
+     {"model": _SINE_GORDON}),
+    ("model.params.potential.coeffs.4", ("model", "params", "potential", "coeffs", "4"),
+     {"model": _POLY}),
 ]
 
 
-@pytest.mark.parametrize("field,path,run_keys", _FLOAT_FIELDS, ids=[f[0] for f in _FLOAT_FIELDS])
-def test_number_fields_refuse_non_finite_values(tmp_path, field, path, run_keys):
+@pytest.mark.parametrize("field,path,sections", _FLOAT_FIELDS, ids=[f[0] for f in _FLOAT_FIELDS])
+def test_number_fields_refuse_non_finite_values(tmp_path, field, path, sections):
     # NaN and the infinities (which JSON readers accept) are a config error
     # naming the field, and the CLI exits 2 instead of failing mid-run
-    d = base_config()
-    d["run"].update(copy.deepcopy(run_keys))
+    d = _with(base_config(), sections)
     ExperimentConfig.from_dict(copy.deepcopy(d))
     for bad in (math.nan, math.inf, -math.inf):
         _set(d, path, bad)
@@ -327,8 +369,6 @@ def test_drift_csv_determinism_and_format(tmp_path):
     p2 = run_drift_study(cfg, out_dir=tmp_path / "b", seed=0)
     b1, b2 = p1.read_bytes(), p2.read_bytes()
     assert b1 == b2
-    p3 = run_drift_study(cfg, out_dir=tmp_path / "c", seed=0, threads=3)
-    assert p3.read_bytes() == b1
 
     text = p1.read_text(encoding="utf-8")
     lines = text.strip().splitlines()
@@ -340,6 +380,53 @@ def test_drift_csv_determinism_and_format(tmp_path):
     # floats carry 17 significant digits
     assert first[header.index("h")] == "%.17g" % 0.1
     assert all(line.split(",")[-1] == "ok" for line in lines[1:])
+
+
+@pytest.mark.parametrize("study", sorted(_STUDIES))
+def test_study_csv_bytes_do_not_depend_on_threads(tmp_path, study):
+    # the coupled policy gives every bea table, expfit included, several points
+    d = base_config()
+    d["bea"] = {"policy": "coupled", "n": [3, 5], "tau": 1.0, "chi": 200.0, "n_max": 5}
+    cfg = ExperimentConfig.from_dict(d)
+    one = _STUDIES[study](cfg, out_dir=tmp_path / "a", seed=0)
+    three = _STUDIES[study](cfg, out_dir=tmp_path / "b", seed=0, threads=3)
+    one, three = (p if isinstance(p, list) else [p] for p in (one, three))
+    assert [p.name for p in one] == [p.name for p in three]
+    assert [p.read_bytes() for p in one] == [p.read_bytes() for p in three]
+
+
+def test_integrate_error_row_follows_the_rows_before_the_failure(tmp_path, monkeypatch):
+    # a step that fails after three good steps keeps the samples at t = 0 and
+    # 0.2 (steps 0 and 2 of 5), then one error row ends the trajectory
+    step, calls = Stepper.step, []
+
+    def failing_step(self, U):
+        calls.append(U)
+        if len(calls) == 4:
+            raise ConvergenceError("stage iteration did not converge", 1.0, 100)
+        return step(self, U)
+
+    monkeypatch.setattr(Stepper, "step", failing_step)
+    path = run_integrate(ExperimentConfig.from_dict(base_config()), out_dir=tmp_path)
+    with open(path, newline="", encoding="utf-8") as f:
+        rows = list(csv.DictReader(f))
+    assert [r["t"] for r in rows] == ["0", "%.17g" % 0.2, ""]
+    assert [r["status"] for r in rows] == ["ok", "ok", "error:ConvergenceError"]
+    assert rows[-1]["H"] == rows[-1]["y1_norm"] == ""
+
+
+def test_bea_writes_no_table_when_a_later_table_fails(tmp_path, monkeypatch):
+    # a programming error in the gradient table stops the study before any
+    # table is written, the embedding and closeness tables included
+    import hambea.harness.studies as studies
+
+    def broken(*_args, **_kwargs):
+        raise RuntimeError("bug in gradient_consistency")
+
+    monkeypatch.setattr(studies, "gradient_consistency", broken)
+    with pytest.raises(RuntimeError, match="bug in gradient_consistency"):
+        run_bea_verify(ExperimentConfig.from_dict(base_config()), out_dir=tmp_path)
+    assert list(tmp_path.glob("*.csv")) == []
 
 
 def test_integrate_csv(tmp_path):

@@ -417,6 +417,25 @@ def test_band_invariance(nls, rng):
         assert out.mode(k) == 0.0
 
 
+@pytest.mark.parametrize("scheme", ["fixed_point", "newton_on_modes"])
+@pytest.mark.parametrize("key", ["nls-cubic", "sine-gordon"])  # c = 1 and c = 2
+def test_step_projects_its_input_without_calling_project(scheme, key, rng, monkeypatch):
+    # P_m is folded into the stepper's per-mode arrays: a state with modes
+    # outside the band steps exactly as its projection does, with no project call
+    model = make_model(*MODEL_SPECS[key])
+    grid = model.make_grid(5)
+    m = 4.0  # at K = 5 cuts both bands
+    U = random_state(grid, model.components, rng, real_field=model.is_real_field)
+    config = StageSolveConfig(scheme=scheme, tol=1e-13)
+    stepper = Stepper(model, grid, make_tableau("gauss2"), 0.08, m, config)
+    want = stepper.step(model.project(U, m))
+    calls, project = [], model.project
+    monkeypatch.setattr(model, "project", lambda *a: calls.append(a) or project(*a))
+    got = stepper.step(U)
+    assert calls == []
+    assert same_bits(got.coeffs, want.coeffs)
+
+
 def test_reversibility_composition(nls, wave_cubic, rng):
     # Gauss methods are symmetric: Psi^{-h} o Psi^{h} = id to solver tolerance
     for model in (nls, wave_cubic):

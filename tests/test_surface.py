@@ -9,6 +9,7 @@ that a library module imports and never uses.
 """
 
 import ast
+import inspect
 import json
 import os
 import subprocess
@@ -135,3 +136,18 @@ def test_tracer_reads_the_stepping_layers(tmp_path):
     assert got["rk.step.calls"] == steps
     assert got["spectral.fft.calls"] > 0
     assert got["rk.stage_iters_per_step"] > 0
+
+
+def test_every_study_takes_the_benchmark_call():
+    # bench/worker.py calls each study as study(cfg, out_dir=..., seed=...,
+    # threads=1); a study that stopped taking one of these keywords would fail
+    # every benchmark run, not a tier-1 test
+    import hambea.harness.cli as cli
+
+    refused = []
+    for name, study in cli._STUDIES.items():
+        try:
+            inspect.signature(study).bind(object(), out_dir="out", seed=7, threads=1)
+        except TypeError as e:
+            refused.append(f"{name}: {e}")
+    assert refused == []
