@@ -46,7 +46,7 @@ from .errors import ConvergenceError
 from .hjet import HJet, expand_step_map
 from .models import PdeModel
 from .rk import ButcherTableau
-from .spectral import FourierGrid, FourierState, y_norm
+from .spectral import FourierGrid, FourierState
 
 N_MAX_DEFAULT = 6  # the coupled policy's default bound on n(h)
 _SYMMETRY_TOL = 1e-12
@@ -159,7 +159,7 @@ class ModifiedField:
         top = n + n % 2
         if len(self._forward_norms) <= top:
             fs = self.forward_coefficients(U.grid, U.coeffs[np.newaxis], top)[:, 0]
-            norms = [y_norm(FourierState(U.grid, f), self.model.q) for f in fs]
+            norms = [self.model.energy_norm(FourierState(U.grid, f)) for f in fs]
             self._forward_norms = [x / norms[1] if norms[1] else 0.0 for x in norms]
         out = self._forward_norms[2]
         for j in range(self.tab.order, n):
@@ -205,7 +205,7 @@ def modified_flow(
     um = model.project(U, m)
     z0 = chart.to_real(um)
 
-    size = max(1.0, y_norm(mf.series_eval(um, 0.0, 1), model.q))  # ||f^1||, h-free
+    size = max(1.0, model.energy_norm(mf.series_eval(um, 0.0, 1)))  # ||f^1||, h-free
     scale = max(1.0, float(np.linalg.norm(z0)))
     noises = [mf.noise_floor(um, hi, n) * size for hi in hs]
 
@@ -359,9 +359,6 @@ class ResolvedPolicy:
     n: int
     m: float | None
     chi: float | None
-    # integer exponents a >= p(q+1)+q and b >= p(q+1)/q from the coupling
-    a_exp: int
-    b_exp: int
 
 
 def resolve_policy(
@@ -369,12 +366,10 @@ def resolve_policy(
 ) -> ResolvedPolicy:
     p = tab.order
     q = model.q
-    a_exp = math.ceil(p * (q + 1) + q)
-    b_exp = math.ceil(p * (q + 1) / q)
     if policy.mode == "explicit":
         if policy.n is None:
             raise ValueError("explicit policy requires n")
-        return ResolvedPolicy(policy.n, policy.m, None, a_exp, b_exp)
+        return ResolvedPolicy(policy.n, policy.m, None)
     if policy.tau is None or policy.tau <= 0.0:
         raise ValueError("coupled policy requires tau > 0")
     if h <= 0.0:
@@ -391,4 +386,4 @@ def resolve_policy(
         m = min(m, policy.m_cap)
     n_raw = policy.tau**expo * (chi / h) ** (1.0 / (1.0 + q)) / 4.0
     n = max(p + 1, min(int(math.floor(n_raw)), policy.n_max))
-    return ResolvedPolicy(n, float(m), chi, a_exp, b_exp)
+    return ResolvedPolicy(n, float(m), chi)

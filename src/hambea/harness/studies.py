@@ -37,7 +37,7 @@ from ..bea import (
 from ..errors import HambeaError
 from ..models import PdeModel, measure_force_scale
 from ..rk import ButcherTableau, Stepper, make_tableau
-from ..spectral import FourierState, y_norm
+from ..spectral import FourierState
 from .config import ExperimentConfig, build_initial_state
 
 PROVENANCE_COLUMNS = ["config_hash", "code_version", "tableau", "stage_tol"]
@@ -206,10 +206,13 @@ def run_drift_study(
         H0 = model.hamiltonian(U)
         Ht0 = modified_hamiltonian_eval(model, tab, U, h, n, m, mf=mf)
         floor = (mf.noise_floor(U, h, n) + 1e-15) * max(1.0, abs(H0))
-        # the whole trajectory first, then H-tilde at its samples
+        # the whole trajectory first, then H-tilde at its samples after j = 0
         for j, Uj in list(_trajectory(stepper, U, steps, cfg.run.samples)):
-            H = model.hamiltonian(Uj)
-            Ht = modified_hamiltonian_eval(model, tab, Uj, h, n, m, mf=mf)
+            if j:
+                H = model.hamiltonian(Uj)
+                Ht = modified_hamiltonian_eval(model, tab, Uj, h, n, m, mf=mf)
+            else:
+                H, Ht = H0, Ht0
             yield [h, j * h, H, Ht, H - H0, Ht - Ht0, n, m, floor, "ok"]
 
     def error_row(point, status):
@@ -249,7 +252,7 @@ def run_convergence_study(
     def rows_of(point):
         steps, h = point
         U = final(Stepper(model, grid, tab, h, m, sscfg), steps)
-        yield [h, y_norm(U - U_ref, model.q), "ok"]
+        yield [h, model.energy_norm(U - U_ref), "ok"]
 
     points = [_canonical_steps(cfg.run.T, h) for h in cfg.run.h]
     res = _point_rows(rows_of, points, lambda p, status: [p[1], None, status], threads)
@@ -284,7 +287,7 @@ def run_projection_scan(
     ic = cfg.run.initial
 
     def rows_of(m):
-        err = y_norm(Stepper(model, grid, tab, h, m, sscfg).step(U0) - full, model.q)
+        err = model.energy_norm(Stepper(model, grid, tab, h, m, sscfg).step(U0) - full)
         shape = None
         if ic.kind == "gevrey_decay":
             shape = m ** (-ic.ell) * math.exp(-ic.tau * m ** (1.0 / model.q))
@@ -340,7 +343,7 @@ def run_bea_verify(
         phi = flows(n)[h]
         if isinstance(phi, HambeaError):  # this member's own failure in the lockstep
             raise phi
-        yield [n, h, y_norm(psi - phi, model.q), "ok"]
+        yield [n, h, model.energy_norm(psi - phi), "ok"]
 
     points = [(n, h) for n in cfg.bea.n for h in cfg.run.h]
     res = _point_rows(embedding_rows, points, lambda pt, status: [*pt, None, status], threads)
@@ -438,7 +441,7 @@ def run_integrate(cfg: ExperimentConfig, out_dir=None, seed: int = 0, threads: i
         for j, U in _trajectory(stepper, model.project(U0, m), steps, cfg.run.samples):
             H = model.hamiltonian(U)
             H0 = H if j == 0 else H0
-            yield [j * h, H, H - H0, y_norm(U, model.q), "ok"]
+            yield [j * h, H, H - H0, model.energy_norm(U), "ok"]
 
     points = [_canonical_steps(cfg.run.T, cfg.run.h[0])]
     rows = _point_rows(rows_of, points, lambda _p, status: [None] * 4 + [status], threads)

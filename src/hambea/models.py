@@ -24,7 +24,9 @@ against a fixed real pairing per model: the H^1 x L^2 inner product for the
 wave system (zero modes unweighted) and the real L^2 pairing Re int u conj(w)
 for the Schroedinger systems.  With these choices J grad H = A U + B(U) holds
 exactly on the discretized band, which the consistency checks below verify by
-finite differences.
+finite differences.  A model declares its energy space next to its pairing
+weights, as one Sobolev offset per component (``energy_offsets``); every
+energy norm and weight in the package is built from these offsets and q.
 
 Each model has one nonlinearity, ``force(grid, coeffs, m)``, on coefficient
 arrays of shape (..., components, band): leading axes are batch axes, so a
@@ -56,9 +58,7 @@ from .spectral import (
     GevreyIndex,
     band_mask,
     gevrey_norm,
-    l2_inner,
     project,
-    weighted_inner,
     y_norm,
 )
 
@@ -237,6 +237,7 @@ class PdeModel:
     name: str
     q: float
     components: int
+    energy_offsets: tuple[float, ...]  # energy space H^{s_1} x H^{s_2} x ..., one s_c each
     is_real_field: bool = False
 
     # -- grids ---------------------------------------------------------
@@ -318,7 +319,12 @@ class PdeModel:
 
     def pairing(self, a: FourierState, b: FourierState) -> float:
         """The real pairing against which J^{-1} and gradients are defined."""
-        raise NotImplementedError
+        a._check_compatible(b)
+        return float(np.real(np.sum(self._pairing_weights(a.grid) * a.coeffs * np.conj(b.coeffs))))
+
+    def energy_norm(self, state: FourierState) -> float:
+        """Norm of state in the model's energy space."""
+        return y_norm(state, self.energy_offsets, self.q)
 
     def chart(self, grid: FourierGrid, m: float | None = None) -> RealChart:
         return RealChart(self, grid, m)
@@ -360,6 +366,7 @@ class WaveModel(PdeModel):
     name = "wave"
     q = 1.0
     components = 2
+    energy_offsets = (1.0, 0.0)  # H^1 x L^2
     is_real_field = True
 
     def __init__(self, potential: PolyPotential | SineGordonPotential):
@@ -429,9 +436,6 @@ class WaveModel(PdeModel):
         w2[0] = np.maximum(1.0, k**2)
         return w2
 
-    def pairing(self, a: FourierState, b: FourierState) -> float:
-        return float(np.real(weighted_inner(a, b, GevreyIndex(0.0, 0.0, 1.0))))
-
 
 # ---------------------------------------------------------------------------
 # Schroedinger family
@@ -440,6 +444,7 @@ class WaveModel(PdeModel):
 class _SchroedingerBase(PdeModel):
     q = 2.0
     components = 1
+    energy_offsets = (1.0,)  # H^1
 
     @staticmethod
     @functools.lru_cache(maxsize=32)
@@ -455,9 +460,6 @@ class _SchroedingerBase(PdeModel):
 
     def _pairing_weights(self, grid: FourierGrid) -> np.ndarray:
         return np.ones((1, grid.band_size))
-
-    def pairing(self, a: FourierState, b: FourierState) -> float:
-        return float(np.real(l2_inner(a, b)))
 
 
 class NlsModel(_SchroedingerBase):
@@ -677,12 +679,8 @@ def grad_H_consistency(
 
 
 def check_skew_A(model: PdeModel, U: FourierState) -> float:
-    """|Re <A U, U>_Y| normalized by ||U||_Y^2 (zero for skew A)."""
-    au = model.apply_A(U)
-    idx = GevreyIndex(0.0, 0.0, model.q)
-    num = abs(float(np.real(weighted_inner(au, U, idx))))
-    den = max(1.0, y_norm(U, model.q) ** 2)
-    return num / den
+    """|<A U, U>| in the model pairing, normalized by max(1, <U, U>) (zero for skew A)."""
+    return abs(model.pairing(model.apply_A(U), U)) / max(1.0, model.pairing(U, U))
 
 
 def reference_flow(
@@ -718,8 +716,6 @@ def measure_force_scale(
     """sup over the sample of ||U||_{Y_1} + ||B(U)||_Y (field-size constant)."""
     best = 0.0
     for s in states:
-        val = gevrey_norm(s, GevreyIndex(0.0, 1.0, model.q)) + y_norm(
-            model.apply_B(s, m), model.q
-        )
-        best = max(best, val)
+        data = gevrey_norm(s, model.energy_offsets, GevreyIndex(0.0, 1.0, model.q))
+        best = max(best, data + model.energy_norm(model.apply_B(s, m)))
     return best

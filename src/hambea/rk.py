@@ -40,13 +40,7 @@ import numpy.polynomial  # loaded at import, not in a study run (see spectral.py
 
 from .errors import ConvergenceError, PoleError
 from .models import PdeModel, RealChart, fd_jacobian
-from .spectral import (
-    FourierGrid,
-    FourierState,
-    GevreyIndex,
-    _mode_weights,
-    band_mask,
-)
+from .spectral import FourierGrid, FourierState, band_mask, energy_weights
 
 _LOG4_MINUS_1 = 2.0 * math.log(2.0) - 1.0
 _STAGNATION_FLOOR = 50.0 * np.finfo(float).eps
@@ -77,11 +71,6 @@ class ButcherTableau:
     def eta(self) -> float:
         """Method-size constant 2 max(||a||, ||b|| / (2 ln 2 - 1))."""
         return 2.0 * max(self.a_norm, self.b_norm / _LOG4_MINUS_1)
-
-    @property
-    def gamma(self) -> float:
-        """Growth constant e (2 + 1.65 eta + ||b||)."""
-        return math.e * (2.0 + 1.65 * self.eta + self.b_norm)
 
     def symplecticity_residual(self) -> float:
         """max_ij |b_i a_ij + b_j a_ji - b_i b_j|."""
@@ -203,7 +192,7 @@ class Stepper:
         # forces first: the step sums the small correction before adding S(hA) U, which
         # rounds once at the size of U (criterion 04's smallest-h drift is below one ulp of H)
         self._update = np.concatenate((update_row, self._stability), axis=1) * mask
-        self._weights = _mode_weights(grid, c, GevreyIndex(0.0, 0.0, model.q)) * mask
+        self._weights = energy_weights(grid, model.energy_offsets, model.q) * mask
 
     def _sq_norms(self, coeffs: np.ndarray) -> np.ndarray:
         """Squared energy norms of a (..., c, band) stack, summed in y_norm's order."""
@@ -298,8 +287,8 @@ def linear_operator_bounds(
     """
     stepper = Stepper(model, grid, tab, h, m)
     mask = band_mask(grid, m, model.q)
-    w = _mode_weights(grid, model.components, GevreyIndex(0.0, 0.0, model.q))
-    s, c = tab.stages, model.components
+    w = energy_weights(grid, model.energy_offsets, model.q)
+    s = tab.stages
     lam = 0.0
     cs = 0.0
     for k in range(grid.band_size):

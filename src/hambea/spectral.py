@@ -10,18 +10,16 @@ used for pointwise (pseudospectral) products are held on an equispaced grid of
 n_phys >= 2K+1 points; conversions in both directions go through the FFT.
 
 Mode magnitudes are measured in eigenvalue units lambda(k) = |k|^q, where q is
-the Gevrey exponent of the governing model (q = 1 for the wave system, q = 2
-for Schroedinger-type systems), so the same projection radius m and the same
-smoothing-weight bookkeeping apply to every model.  The Gevrey norm of index
-(tau, ell) weighs component c of mode k by
+the Gevrey exponent of the governing model, so the same projection radius m
+and the same smoothing-weight bookkeeping apply to every model.  The Gevrey
+norm of index (tau, ell) weighs component c of mode k by
 
-    w_c(k) = lambda(k)^ell * base_c(k) * exp(tau * lambda(k)^{1/q}),   k != 0,
+    w_c(k) = lambda(k)^ell * |k|^{s_c} * exp(tau * lambda(k)^{1/q}),   k != 0,
 
-with w_c(0) = 1 (the zero mode is never weighted), where base_c is the
-per-component offset that encodes the energy space: (|k|, 1) for two-component
-wave states (H^1 x L^2), |k| for one-component q = 2 states (H^1), and 1 for
-generic one-component q = 1 states (L^2).  tau = ell = 0 recovers the plain
-energy norm.
+with w_c(0) = 1 (the zero mode is never weighted).  The offsets s_c encode the
+energy space, H^{s_1} x H^{s_2} x ...: the model declares them, and every norm
+and weight here takes them as a tuple with one entry per component.
+tau = ell = 0 recovers the plain energy norm.
 """
 
 from __future__ import annotations
@@ -171,29 +169,15 @@ def mode_eigenvalues(grid: FourierGrid, q: float) -> np.ndarray:
     return np.abs(grid.wavenumbers.astype(float)) ** q
 
 
-def _component_offsets(components: int, q: float) -> tuple[float, ...]:
-    if components == 2:
-        if q != 1.0:
-            raise ValueError("two-component states use q = 1")
-        return (1.0, 0.0)
-    if components == 1:
-        if q == 2.0:
-            return (1.0,)
-        if q == 1.0:
-            return (0.0,)
-    raise ValueError(f"no weight convention for components={components}, q={q}")
-
-
 @functools.lru_cache(maxsize=64)
-def _mode_weights(grid: FourierGrid, components: int, idx: GevreyIndex) -> np.ndarray:
+def _mode_weights(grid: FourierGrid, offsets: tuple[float, ...], idx: GevreyIndex) -> np.ndarray:
     """Per-component, per-mode Gevrey weights; zero mode gets weight 1.
 
-    Memoised per (grid, components, index); the shared result is read-only.
+    Memoised per (grid, offsets, index); the shared result is read-only.
     """
     k = np.abs(grid.wavenumbers.astype(float))
     lam = k**idx.q
-    offsets = _component_offsets(components, idx.q)
-    w = np.empty((components, grid.band_size))
+    w = np.empty((len(offsets), grid.band_size))
     with np.errstate(divide="ignore"):
         for c, off in enumerate(offsets):
             wc = lam**idx.ell * k**off * np.exp(idx.tau * k)
@@ -203,28 +187,22 @@ def _mode_weights(grid: FourierGrid, components: int, idx: GevreyIndex) -> np.nd
     return w
 
 
-def gevrey_norm(state: FourierState, idx: GevreyIndex) -> float:
+def energy_weights(grid: FourierGrid, offsets: tuple[float, ...], q: float) -> np.ndarray:
+    """Per-component, per-mode weights of the plain energy norm (read-only)."""
+    return _mode_weights(grid, offsets, GevreyIndex(0.0, 0.0, q))
+
+
+def gevrey_norm(state: FourierState, offsets: tuple[float, ...], idx: GevreyIndex) -> float:
     """Weighted l2 norm of the coefficients under the (tau, ell, q) convention."""
-    w = _mode_weights(state.grid, state.components, idx)
+    if len(offsets) != state.components:
+        raise ValueError("one energy offset per state component")
+    w = _mode_weights(state.grid, offsets, idx)
     return float(np.sqrt(np.sum((w * np.abs(state.coeffs)) ** 2)))
 
 
-def y_norm(state: FourierState, q: float) -> float:
+def y_norm(state: FourierState, offsets: tuple[float, ...], q: float) -> float:
     """Plain energy norm, i.e. the Gevrey norm at tau = ell = 0."""
-    return gevrey_norm(state, GevreyIndex(0.0, 0.0, q))
-
-
-def weighted_inner(a: FourierState, b: FourierState, idx: GevreyIndex) -> complex:
-    """Hermitian inner product with squared Gevrey weights, <a, b>_{tau, ell}."""
-    a._check_compatible(b)
-    w2 = _mode_weights(a.grid, a.components, idx) ** 2
-    return complex(np.sum(w2 * a.coeffs * np.conj(b.coeffs)))
-
-
-def l2_inner(a: FourierState, b: FourierState) -> complex:
-    """Unweighted coefficient inner product sum_k a_k conj(b_k) (= L^2 pairing)."""
-    a._check_compatible(b)
-    return complex(np.sum(a.coeffs * np.conj(b.coeffs)))
+    return gevrey_norm(state, offsets, GevreyIndex(0.0, 0.0, q))
 
 
 def band_mask(grid: FourierGrid, m: float | None, q: float) -> np.ndarray:
@@ -249,7 +227,7 @@ def project(state: FourierState, m: float | None, q: float = 1.0) -> FourierStat
 
 
 def tail_bound_check(
-    state: FourierState, idx: GevreyIndex, m: float
+    state: FourierState, offsets: tuple[float, ...], idx: GevreyIndex, m: float
 ) -> tuple[float, float]:
     """Energy norm of the tail (I - P_m)U against its smoothing-decay bound.
 
@@ -261,8 +239,8 @@ def tail_bound_check(
     if m < 1:
         raise ValueError("tail bound requires m >= 1")
     tail = state - project(state, m, idx.q)
-    lhs = y_norm(tail, idx.q)
-    full = gevrey_norm(state, idx)
+    lhs = y_norm(tail, offsets, idx.q)
+    full = gevrey_norm(state, offsets, idx)
     if full == 0.0:
         return lhs, 0.0
     rhs = m ** (-idx.ell) * math.exp(-idx.tau * m ** (1.0 / idx.q)) * full

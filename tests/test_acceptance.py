@@ -33,7 +33,6 @@ from hambea import (
     reference_flow,
     stability_function,
     symplecticity_residual,
-    y_norm,
 )
 from hambea.harness import (
     ExperimentConfig,
@@ -100,7 +99,7 @@ def nls_order_sweep():
             for _ in range(round(T / h)):
                 U = stepper.step(U)
                 worst = max(worst, abs(model.hamiltonian(U) - H0))
-            errs.append(y_norm(U - ref, model.q))
+            errs.append(model.energy_norm(U - ref))
             drifts.append(worst)
         out[name] = (fit_loglog_slope(hs, errs), fit_loglog_slope(hs, drifts))
     out["elapsed"] = time.time() - t0
@@ -245,7 +244,7 @@ def test_criterion_06_embedding_order(capsys):
         for h in hs:
             psi = Stepper(model, grid, tab, h, m=m, config=cfg).step(U0)
             phi = modified_flow(model, tab, U0, h, n, m=m, mf=mf)
-            errs.append(y_norm(psi - phi, model.q))
+            errs.append(model.energy_norm(psi - phi))
         slope = fit_loglog_slope(hs, errs)
         floor = mf.noise_floor(model.project(U0, m), hs[-1], n)
         jstar = max(n, tab.order) + 1
@@ -437,7 +436,7 @@ def test_criterion_09_projection_decay(capsys):
         errs = []
         for m in ms:
             proj = Stepper(model, grid, tab, h, m=m, config=cfg).step(U0)
-            errs.append(y_norm(full - proj, model.q))
+            errs.append(model.energy_norm(full - proj))
         slope = np.polyfit(np.asarray(ks, float), np.log(errs), 1)[0]
         dev = abs(slope + tau) / tau
         ok = ok and dev <= 0.25
@@ -468,12 +467,12 @@ def test_criterion_10_gevrey_operator_bound(capsys):
                 model, grid, tau=0.9, ell=1.0, amplitude=0.5,
                 seed=int(rng.integers(1, 2 ** 31)),
             )
-            den = gevrey_norm(U, idx_s)
+            den = gevrey_norm(U, model.energy_offsets, idx_s)
             AU = U
             for p in (1, 2, 3):
                 AU = model.apply_A(AU)
                 bound = operator_power_bound(sigma, tau, p, model.q)
-                worst = min(worst, bound - gevrey_norm(AU, idx_t) / den)
+                worst = min(worst, bound - gevrey_norm(AU, model.energy_offsets, idx_t) / den)
     elapsed = time.time() - t0
     ok = worst >= 0.0 and elapsed < 10.0
     _verdict(

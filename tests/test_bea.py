@@ -10,6 +10,7 @@ from hambea import (
     ButcherTableau,
     FourierState,
     ModifiedField,
+    NlsModel,
     OrderCapError,
     ResolvedPolicy,
     StageSolveConfig,
@@ -24,7 +25,6 @@ from hambea import (
     project,
     reference_flow,
     resolve_policy,
-    y_norm,
 )
 from hambea.hjet import ORDER_CAP
 
@@ -39,7 +39,7 @@ def test_first_coefficient_is_the_field(nls, rng):
     s = random_state(grid, 1, rng)
     f1 = ModifiedField(nls, make_tableau("midpoint")).coefficient(1, s)
     want = nls.apply_A(s) + nls.apply_B(s)
-    assert y_norm(f1 - want, nls.q) < 1e-13
+    assert nls.energy_norm(f1 - want) < 1e-13
 
 
 def test_first_coefficient_band_limited(nls, rng):
@@ -58,8 +58,8 @@ def test_second_coefficient_vanishes_raw(nls, rng):
     s = random_state(grid, 1, rng)
     mf = ModifiedField(nls, make_tableau("midpoint"))
     fs = mf.forward_coefficients(grid, s.coeffs[np.newaxis], 2)[:, 0]
-    scale = y_norm(FourierState(grid, fs[1]), nls.q)
-    assert y_norm(FourierState(grid, fs[2]), nls.q) < 1e-8 * scale
+    scale = nls.energy_norm(FourierState(grid, fs[1]))
+    assert nls.energy_norm(FourierState(grid, fs[2])) < 1e-8 * scale
 
 
 def test_fourth_coefficient_vanishes_symmetric(nls, rng):
@@ -69,8 +69,8 @@ def test_fourth_coefficient_vanishes_symmetric(nls, rng):
     s = random_state(grid, 1, rng)
     mf = ModifiedField(nls, make_tableau("midpoint"))
     fs = mf.forward_coefficients(grid, s.coeffs[np.newaxis], 4)[:, 0]
-    scale = y_norm(FourierState(grid, fs[1]), nls.q)
-    assert y_norm(FourierState(grid, fs[4]), nls.q) < 1e-6 * scale
+    scale = nls.energy_norm(FourierState(grid, fs[1]))
+    assert nls.energy_norm(FourierState(grid, fs[4])) < 1e-6 * scale
     assert np.max(np.abs(mf.coefficient(4, s).coeffs)) == 0.0
 
 
@@ -246,7 +246,7 @@ def test_series_eval_composition(nls, rng):
         + h**3 * mf.coefficient(4, s)
     )
     got = mf.series_eval(s, h, 4)
-    assert y_norm(got - manual, nls.q) < 1e-13
+    assert nls.energy_norm(got - manual) < 1e-13
 
 
 # -- modified flow ------------------------------------------------------------
@@ -258,7 +258,7 @@ def test_modified_flow_n1_is_reference(nls, rng):
     tab = make_tableau("midpoint")
     a = modified_flow(nls, tab, s, 0.05, 1)
     b = reference_flow(nls, s, 0.05, rtol=1e-12, atol=1e-14)
-    assert y_norm(a - b, nls.q) < 1e-10
+    assert nls.energy_norm(a - b) < 1e-10
 
 
 def test_flow_step_deviation_order_n1(nls, rng):
@@ -270,10 +270,9 @@ def test_flow_step_deviation_order_n1(nls, rng):
     mf = ModifiedField(nls, tab)
     hs = [0.08, 0.04, 0.02]
     errs = [
-        y_norm(
+        nls.energy_norm(
             Stepper(nls, grid, tab, h, config=cfg).step(s)
-            - modified_flow(nls, tab, s, h, 1, mf=mf),
-            nls.q,
+            - modified_flow(nls, tab, s, h, 1, mf=mf)
         )
         for h in hs
     ]
@@ -290,15 +289,48 @@ def test_flow_step_deviation_order_n3(wave_cubic, rng):
     mf = ModifiedField(wave_cubic, tab)
     hs = [0.1, 0.0707, 0.05]
     errs = [
-        y_norm(
+        wave_cubic.energy_norm(
             Stepper(wave_cubic, grid, tab, h, config=cfg).step(s)
-            - modified_flow(wave_cubic, tab, s, h, 3, mf=mf),
-            1.0,
+            - modified_flow(wave_cubic, tab, s, h, 3, mf=mf)
         )
         for h in hs
     ]
     slope = fit_loglog_slope(hs, errs)
     assert slope >= 4.5
+
+
+class _FourthOrderNls(NlsModel):
+    """i u_t = u_xxxx + lam |u|^2 u: A = -i k^4 on the energy space H^2, q = 4.
+
+    Only what the stepper and the modified field read differs from NLS.
+    """
+
+    name = "nls4"
+    q = 4.0
+    energy_offsets = (2.0,)
+
+    @staticmethod
+    def a_blocks(grid):
+        return (-1j * grid.wavenumbers.astype(float) ** 4).reshape(-1, 1, 1)
+
+
+def test_a_model_declares_its_own_energy_space(rng):
+    # a model outside the package: its offsets alone give its energy norm,
+    # and the stepper and the modified flow run on it
+    model = _FourthOrderNls()
+    grid = model.make_grid(4)
+    k = np.abs(grid.wavenumbers)
+    s = FourierState.zeros(grid)
+    s.set_mode(2, 1.0)
+    assert model.energy_norm(s) == 4.0  # |k|^2 at k = 2
+    s = random_state(grid, 1, rng)
+    tab, h, m = make_tableau("midpoint"), 0.05, 16.0  # P_16 keeps |k| <= 2
+    psi = Stepper(model, grid, tab, h, m).step(s)
+    assert np.all(psi.coeffs[:, k > 2] == 0.0)
+    mf = ModifiedField(model, tab, m)
+    errs = [model.energy_norm(psi - modified_flow(model, tab, s, h, n, m, mf=mf)) for n in (1, 3)]
+    # the n = 3 field embeds the step far closer than the plain field
+    assert 0.0 < errs[1] < 0.2 * errs[0]
 
 
 # -- modified energies --------------------------------------------------------
@@ -393,18 +425,12 @@ def test_gradient_consistency_small_band(nls, rng):
 # -- truncation policies ------------------------------------------------------
 
 
-def test_explicit_policy_passthrough(nls, wave_cubic):
+def test_explicit_policy_passthrough(nls):
     pol = TruncationPolicy(mode="explicit", n=4, m=7.5)
     tab = make_tableau("midpoint")
     r = resolve_policy(pol, 0.01, tab, nls)
     assert isinstance(r, ResolvedPolicy)
     assert r.n == 4 and r.m == 7.5 and r.chi is None
-    # coupling exponents: a >= p(q+1)+q and b >= p(q+1)/q
-    assert (r.a_exp, r.b_exp) == (8, 3)
-    rw = resolve_policy(pol, 0.01, tab, wave_cubic)
-    assert (rw.a_exp, rw.b_exp) == (5, 4)
-    rg = resolve_policy(pol, 0.01, make_tableau("gauss2"), nls)
-    assert (rg.a_exp, rg.b_exp) == (14, 6)
 
 
 def test_explicit_policy_requires_n(nls):

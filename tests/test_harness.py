@@ -310,7 +310,7 @@ def test_gevrey_initial_moduli_and_determinism(nls):
         kind="gevrey_decay", tau=0.4, ell=1.5, amplitude=0.3, seed=12))
     assert not np.array_equal(a.coeffs, c.coeffs)
     # the declared regularity is certified by the tail machinery it feeds
-    ok, _margin = tail_bound_check(a, GevreyIndex(0.4, 1.5, nls.q), m=16.0)
+    ok, _margin = tail_bound_check(a, nls.energy_offsets, GevreyIndex(0.4, 1.5, nls.q), m=16.0)
     assert ok
 
 
@@ -380,6 +380,26 @@ def test_drift_csv_determinism_and_format(tmp_path):
     # floats carry 17 significant digits
     assert first[header.index("h")] == "%.17g" % 0.1
     assert all(line.split(",")[-1] == "ok" for line in lines[1:])
+
+
+def test_drift_evaluates_h_tilde_once_per_sample(tmp_path, monkeypatch):
+    # the initial state's H-tilde serves both as the drift's reference and as
+    # the t = 0 row, so each point evaluates it once per sampled state
+    import hambea.harness.studies as studies
+
+    evaluate, states = studies.modified_hamiltonian_eval, []
+
+    def counted(model, tab, U, *args, **kwargs):
+        states.append(U)
+        return evaluate(model, tab, U, *args, **kwargs)
+
+    monkeypatch.setattr(studies, "modified_hamiltonian_eval", counted)
+    path = run_drift_study(ExperimentConfig.from_dict(base_config()), out_dir=tmp_path)
+    with open(path, newline="", encoding="utf-8") as f:
+        rows = list(csv.DictReader(f))
+    # h = 0.1 samples steps 0, 2, 4 and 5; h = 0.05 samples steps 0, 5 and 10
+    assert [r["status"] for r in rows] == ["ok"] * 7
+    assert len(states) == len(rows)
 
 
 @pytest.mark.parametrize("study", sorted(_STUDIES))

@@ -13,7 +13,6 @@ from hambea import (
     fd_directional,
     make_model,
     make_tableau,
-    y_norm,
 )
 
 from hambea.hjet import ORDER_CAP
@@ -74,7 +73,7 @@ def test_lift_matches_evaluated_force(key, rng):
     errs = []
     for h in hs:
         exact = model.apply_B(path.evaluate(h))
-        errs.append(y_norm(exact - lifted.evaluate(h), model.q))
+        errs.append(model.energy_norm(exact - lifted.evaluate(h)))
     if key == "nls-free":
         assert max(errs) == 0.0  # B = 0 exactly
     else:
@@ -238,7 +237,7 @@ def test_jet_zeroth_and_first_coefficients(nls, rng):
     jet = expand_step_map(nls, make_tableau("gauss2"), s, order=2)
     assert np.max(np.abs(jet.coefficient(0).coeffs - s.coeffs)) == 0.0
     g1 = nls.apply_A(s) + nls.apply_B(s)
-    assert y_norm(jet.coefficient(1) - g1, nls.q) < 1e-12
+    assert nls.energy_norm(jet.coefficient(1) - g1) < 1e-12
 
 
 def test_jet_first_coefficient_projected(nls, rng):
@@ -248,7 +247,7 @@ def test_jet_first_coefficient_projected(nls, rng):
     jet = expand_step_map(nls, make_tableau("midpoint"), s, m=m, order=1)
     sm = nls.project(s, m)
     g1 = nls.apply_A(sm) + nls.apply_B(sm, m)
-    assert y_norm(jet.coefficient(1) - g1, nls.q) < 1e-12
+    assert nls.energy_norm(jet.coefficient(1) - g1) < 1e-12
     for k in (-6, -5, -4, 4, 5, 6):
         assert jet.coefficient(0).mode(k) == 0.0
         assert jet.coefficient(1).mode(k) == 0.0
@@ -282,7 +281,7 @@ def test_jet_step_consistency(nls, rng):
         errs = []
         for h in hs:
             full = Stepper(nls, grid, tab, h, config=cfg).step(s)
-            errs.append(y_norm(full - jet.evaluate(h), nls.q))
+            errs.append(nls.energy_norm(full - jet.evaluate(h)))
         assert fit_loglog_slope(hs, errs) >= n + 0.8
 
 
@@ -294,7 +293,9 @@ def test_jet_step_consistency_wave(wave_cubic, rng):
     jet = expand_step_map(wave_cubic, tab, s, order=3)
     hs = [0.04, 0.02, 0.01]
     errs = [
-        y_norm(Stepper(wave_cubic, grid, tab, h, config=cfg).step(s) - jet.evaluate(h), 1.0)
+        wave_cubic.energy_norm(
+            Stepper(wave_cubic, grid, tab, h, config=cfg).step(s) - jet.evaluate(h)
+        )
         for h in hs
     ]
     assert fit_loglog_slope(hs, errs) >= 3.8
@@ -347,12 +348,12 @@ def test_order_cap(nls, rng):
 # -- directional derivatives --------------------------------------------------
 
 
-def _directional(F, s, d, q, eps0=1e-5):
+def _directional(F, s, d, model, eps0=1e-5):
     """F'(s) d from the stack form of fd_directional, on a stack of one state.
 
     The step is eps = eps0 (1 + ||s||) / (1 + ||d||) in the energy norm.
     """
-    eps = eps0 * (1.0 + y_norm(s, q)) / (1.0 + y_norm(d, q))
+    eps = eps0 * (1.0 + model.energy_norm(s)) / (1.0 + model.energy_norm(d))
     out = fd_directional(F, s.coeffs[np.newaxis], d.coeffs[np.newaxis], np.array([eps]))
     return FourierState(s.grid, out[0])
 
@@ -363,8 +364,8 @@ def test_lie_derivative_linear_field_exact(nls, rng):
     s = random_state(grid, 1, rng)
     w = random_state(grid, 1, rng, scale=0.2)
     blocks = nls.a_blocks(grid)
-    out = _directional(lambda P: np.einsum("mij,...jm->...im", blocks, P), s, w, nls.q)
-    assert y_norm(out - nls.apply_A(w), nls.q) < 1e-10
+    out = _directional(lambda P: np.einsum("mij,...jm->...im", blocks, P), s, w, nls)
+    assert nls.energy_norm(out - nls.apply_A(w)) < 1e-10
 
 
 def test_lie_derivative_cubic_analytic(nls, rng):
@@ -372,9 +373,9 @@ def test_lie_derivative_cubic_analytic(nls, rng):
     grid = nls.make_grid(5)
     s = random_state(grid, 1, rng)
     w = random_state(grid, 1, rng, scale=0.25)
-    got = _directional(lambda P: nls.force(grid, P), s, w, nls.q)
+    got = _directional(lambda P: nls.force(grid, P), s, w, nls)
     uv = grid.to_phys(s.coeffs[0])
     wv = grid.to_phys(w.coeffs[0])
     dv = -1j * (2.0 * np.abs(uv) ** 2 * wv + uv**2 * np.conj(wv))
     want = FourierState(grid, grid.to_coeffs(dv)[np.newaxis, :])
-    assert y_norm(got - want, nls.q) < 1e-7
+    assert nls.energy_norm(got - want) < 1e-7

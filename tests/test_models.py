@@ -10,7 +10,6 @@ from hambea import (
     FourierState,
     make_model,
     reference_flow,
-    y_norm,
 )
 from hambea.models import (
     check_h2_selfadjoint,
@@ -18,7 +17,7 @@ from hambea.models import (
     grad_H_consistency,
     measure_force_scale,
 )
-from hambea.spectral import GevreyIndex, _mode_weights, band_mask, symmetrize_real
+from hambea.spectral import GevreyIndex, _mode_weights, band_mask, energy_weights, symmetrize_real
 
 from conftest import MODEL_SPECS, random_state, same_bits
 
@@ -72,7 +71,7 @@ def test_wave_a_block(wave_cubic):
     # the zero-mode column of A is empty (it rides with B)
     z = FourierState.zeros(grid, 2)
     z.set_mode(0, 1.0, component=1)
-    assert y_norm(wave_cubic.apply_A(z), 1.0) == 0.0
+    assert wave_cubic.energy_norm(wave_cubic.apply_A(z)) == 0.0
 
 
 def test_a_eigenvalues_imaginary(nls, wave_cubic, rng):
@@ -92,7 +91,7 @@ def test_nls_lambda_zero_force_vanishes():
     grid = model.make_grid(4)
     s = FourierState.zeros(grid)
     s.set_mode(1, 0.5 + 0.25j)
-    assert y_norm(model.apply_B(s), 2.0) == 0.0
+    assert model.energy_norm(model.apply_B(s)) == 0.0
 
 
 def test_nls_cubic_on_constant(nls):
@@ -229,7 +228,22 @@ def test_j_inv_skew_pairing(nls, wave_cubic, rng):
         for _ in range(5):
             s = random_state(grid, model.components, rng)
             val = model.pairing(model.apply_J_inv(s), s)
-            assert abs(val) < 1e-12 * max(1.0, y_norm(s, model.q) ** 2)
+            assert abs(val) < 1e-12 * max(1.0, model.energy_norm(s) ** 2)
+
+
+@pytest.mark.parametrize("key", list(MODEL_SPECS))
+def test_pairing_sums_the_energy_inner_product(key, rng):
+    # the wave's pairing weights are its squared energy weights (H^1 x L^2),
+    # the Schroedinger models' are ones (L^2): the one pairing keeps the bits
+    # of the inner products it replaced
+    model = make_model(*MODEL_SPECS[key])
+    grid = model.make_grid(5)
+    a, b = (random_state(grid, model.components, rng) for _ in range(2))
+    w2 = 1.0
+    if model.name == "wave":
+        w2 = energy_weights(grid, model.energy_offsets, model.q) ** 2
+    want = np.real(np.sum(w2 * a.coeffs * np.conj(b.coeffs)))
+    assert same_bits(np.float64(model.pairing(a, b)), want)
 
 
 def test_j_inv_commutes_with_projection(nls, wave_cubic, rng):
@@ -444,7 +458,7 @@ def test_chart_array_forms_match_per_state_forms(key, m, lead, rng):
 def test_shared_caches_are_read_only(nls, wave_cubic):
     grid = nls.make_grid(4)
     shared = [
-        _mode_weights(grid, 1, GevreyIndex(0.0, 0.0, 2.0)),
+        _mode_weights(grid, nls.energy_offsets, GevreyIndex(0.0, 0.0, 2.0)),
         nls.a_blocks(grid),
         wave_cubic.a_blocks(wave_cubic.make_grid(4)),
     ]

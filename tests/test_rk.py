@@ -15,7 +15,6 @@ from hambea import (
     make_model,
     make_tableau,
     stability_function,
-    y_norm,
 )
 from hambea.rk import linear_operator_bounds, symplecticity_residual
 
@@ -80,7 +79,6 @@ def test_symplecticity_residuals():
 def test_method_constants_midpoint():
     tab = make_tableau("midpoint")
     assert tab.eta == pytest.approx(5.177398899124181, abs=1e-12)
-    assert tab.gamma == pytest.approx(31.376333906562788, abs=1e-12)
 
 
 def test_make_tableau_rejects_unknown():
@@ -231,8 +229,8 @@ def test_fixed_point_step_forces_each_iterate_once(key, rng, monkeypatch):
     assert same_bits(calls[-1][0], res.stages) and calls[-1][1] is res.forces
     # the residual is the largest per-stage energy norm of the last update
     delta = calls[-1][0] - calls[-2][0]
-    norms = [y_norm(FourierState(grid, d), model.q) for d in delta]
-    assert same_bits(res.residual, max(norms) / (1.0 + y_norm(U, model.q)))
+    norms = [model.energy_norm(FourierState(grid, d)) for d in delta]
+    assert same_bits(res.residual, max(norms) / (1.0 + model.energy_norm(U)))
     calls.clear()
     stepper.step(U)
     assert len(calls) == res.iterations + 1
@@ -274,7 +272,7 @@ def test_newton_matches_fixed_point(rng):
             a = Stepper(model, grid, tab, h, m, StageSolveConfig(tol=1e-14)).step(s)
             newton = StageSolveConfig(scheme="newton_on_modes", tol=1e-14)
             b = Stepper(model, grid, tab, h, m, newton).step(s)
-            assert y_norm(a - b, model.q) < 1e-11
+            assert model.energy_norm(a - b) < 1e-11
 
 
 def _newton_reference(stepper, U):
@@ -286,7 +284,7 @@ def _newton_reference(stepper, U):
     model, grid, m, s = stepper.model, stepper.grid, stepper.m, stepper.tab.stages
     chart = model.chart(grid, m)
     um = model.project(U, m)
-    scale = 1.0 + y_norm(um, model.q)
+    scale = 1.0 + model.energy_norm(um)
 
     def pack(st):
         return np.concatenate([chart.to_real(FourierState(grid, st[i])) for i in range(s)])
@@ -392,7 +390,7 @@ def test_non_finite_stages_raise(nls):
 @pytest.mark.parametrize("tab_name", ["midpoint", "gauss2", "gauss3"])
 def test_residual_norm_matches_per_stage_norms(nls, wave_cubic, tab_name, rng):
     # the stepper's one reduction over a stage stack gives the bits of each
-    # per-stage y_norm, on the updates of the definitional iteration
+    # per-stage energy norm, on the updates of the definitional iteration
     for model in (nls, wave_cubic):
         for K in (8, 16, 32, 64):
             grid = model.make_grid(K)
@@ -403,7 +401,7 @@ def test_residual_norm_matches_per_stage_norms(nls, wave_cubic, tab_name, rng):
             for _ in range(4):
                 new = _definitional_map(st, u, stages)
                 delta, stages = new - stages, new
-                want = np.array([y_norm(FourierState(grid, d), model.q) for d in delta])
+                want = np.array([model.energy_norm(FourierState(grid, d)) for d in delta])
                 assert same_bits(np.sqrt(st._sq_norms(delta)), want)
 
 
@@ -446,7 +444,7 @@ def test_reversibility_composition(nls, wave_cubic, rng):
             tab = make_tableau(name)
             fwd = Stepper(model, grid, tab, 0.1, config=cfg).step(s)
             back = Stepper(model, grid, tab, -0.1, config=cfg).step(fwd)
-            assert y_norm(back - s, model.q) < 1e-13 * max(1.0, y_norm(s, model.q))
+            assert model.energy_norm(back - s) < 1e-13 * max(1.0, model.energy_norm(s))
 
 
 def test_wave_step_preserves_realness(wave_cubic, rng):
@@ -474,7 +472,7 @@ def test_local_order(nls, rng):
         errs = []
         for h in hs:
             ref = reference_flow(nls, s, h, rtol=1e-12, atol=1e-14)
-            errs.append(y_norm(Stepper(nls, grid, tab, h, config=cfg).step(s) - ref, nls.q))
+            errs.append(nls.energy_norm(Stepper(nls, grid, tab, h, config=cfg).step(s) - ref))
         slope = fit_loglog_slope(hs, errs)
         assert abs(slope - (p + 1)) < 0.2
 
@@ -494,7 +492,7 @@ def test_global_order_wave(wave_cubic, rng):
         u = s
         for _ in range(round(T / h)):
             u = stepper.step(u)
-        errs.append(y_norm(u - ref, 1.0))
+        errs.append(wave_cubic.energy_norm(u - ref))
     assert abs(fit_loglog_slope(hs, errs) - 2.0) < 0.2
 
 

@@ -10,6 +10,7 @@ from hambea import (
     FourierState,
     GevreyIndex,
     gevrey_norm,
+    make_model,
     mode_eigenvalues,
     operator_power_bound,
     project,
@@ -19,12 +20,17 @@ from hambea import (
 from hambea.spectral import (
     _SQRT_2PI,
     band_mask,
+    energy_weights,
     hermitian_defect,
-    l2_inner,
     symmetrize_real,
 )
 
-from conftest import random_state, same_bits
+from conftest import MODEL_SPECS, random_state, same_bits
+
+# energy offsets of one-component states: L^2 and H^1, and the per-q choice
+# the loops over q below use
+L2, H1 = (0.0,), (1.0,)
+OFFSETS = {1.0: L2, 2.0: H1}
 
 
 # -- grid and transforms ------------------------------------------------------
@@ -109,7 +115,7 @@ def test_zero_state_has_zero_norms():
     grid = FourierGrid(n_modes=4, n_phys=16)
     z = FourierState.zeros(grid, 2)
     for idx in (GevreyIndex(0, 0, 1), GevreyIndex(0.7, 2, 1), GevreyIndex(1.0, 0, 1)):
-        assert gevrey_norm(z, idx) == 0.0
+        assert gevrey_norm(z, (1.0, 0.0), idx) == 0.0
 
 
 def test_symmetrize_real_and_defect(rng):
@@ -128,7 +134,7 @@ def test_norm_single_mode_unit_weight():
     grid = FourierGrid(n_modes=2, n_phys=8)
     s = FourierState.zeros(grid)
     s.set_mode(1, 1.0)
-    assert abs(gevrey_norm(s, GevreyIndex(0.0, 0.0, 1.0)) - 1.0) < 1e-15
+    assert abs(gevrey_norm(s, L2, GevreyIndex(0.0, 0.0, 1.0)) - 1.0) < 1e-15
 
 
 def test_norm_single_mode_weighted():
@@ -136,7 +142,7 @@ def test_norm_single_mode_weighted():
     grid = FourierGrid(n_modes=3, n_phys=8)
     s = FourierState.zeros(grid)
     s.set_mode(2, 1.0)
-    val = gevrey_norm(s, GevreyIndex(0.5, 1.0, 1.0))
+    val = gevrey_norm(s, L2, GevreyIndex(0.5, 1.0, 1.0))
     assert abs(val - 5.43656365691809) < 1e-12
 
 
@@ -149,8 +155,8 @@ def test_norm_monotone_in_ell(rng):
     grid = FourierGrid(n_modes=6, n_phys=16)
     for _ in range(5):
         s = random_state(grid, 1, rng)
-        n0 = gevrey_norm(s, GevreyIndex(0.3, 1.0, 1.0))
-        n1 = gevrey_norm(s, GevreyIndex(0.3, 2.0, 1.0))
+        n0 = gevrey_norm(s, L2, GevreyIndex(0.3, 1.0, 1.0))
+        n1 = gevrey_norm(s, L2, GevreyIndex(0.3, 2.0, 1.0))
         assert n0 <= n1 * (1 + 1e-12)
 
 
@@ -161,18 +167,30 @@ def test_nls_weight_uses_eigenvalue_root():
     s = FourierState.zeros(grid)
     s.set_mode(3, 1.0)
     expect = 9.0 * 3.0 * math.exp(1.2)
-    assert abs(gevrey_norm(s, GevreyIndex(0.4, 1.0, 2.0)) - expect) < 1e-12 * expect
+    assert abs(gevrey_norm(s, H1, GevreyIndex(0.4, 1.0, 2.0)) - expect) < 1e-12 * expect
 
 
-def test_wave_component_offsets(rng):
-    # two-component states weigh u one derivative above v
+# each model's energy weights on k = -3 .. 3: H^1 x L^2 for the wave (u one
+# derivative above v), H^1 for the Schroedinger models; zero modes weigh 1
+_H1_K3 = [3.0, 2.0, 1.0, 1.0, 1.0, 2.0, 3.0]
+ENERGY_WEIGHTS = {"wave": [_H1_K3, [1.0] * 7], "nls": [_H1_K3], "nonlocal_nls": [_H1_K3]}
+
+
+@pytest.mark.parametrize("key", list(MODEL_SPECS))
+def test_model_energy_weights(key):
+    model = make_model(*MODEL_SPECS[key])
     grid = FourierGrid(n_modes=3, n_phys=8)
-    su = FourierState.zeros(grid, 2)
-    su.set_mode(2, 1.0, component=0)
-    sv = FourierState.zeros(grid, 2)
-    sv.set_mode(2, 1.0, component=1)
-    assert abs(y_norm(su, 1.0) - 2.0) < 1e-14
-    assert abs(y_norm(sv, 1.0) - 1.0) < 1e-14
+    want = np.array(ENERGY_WEIGHTS[model.name])
+    assert same_bits(energy_weights(grid, model.energy_offsets, model.q), want)
+    for c in range(model.components):
+        s = FourierState.zeros(grid, model.components)
+        s.set_mode(2, 1.0, component=c)
+        assert same_bits(np.float64(model.energy_norm(s)), want[c, 5])
+
+
+def test_norm_needs_one_offset_per_component():
+    with pytest.raises(ValueError):
+        y_norm(FourierState.zeros(FourierGrid(n_modes=3, n_phys=8), 2), H1, 1.0)
 
 
 # -- projections --------------------------------------------------------------
@@ -188,7 +206,7 @@ def test_project_drops_outside_modes():
     grid = FourierGrid(n_modes=4, n_phys=16)
     s = FourierState.zeros(grid)
     s.set_mode(3, 2.0)
-    assert y_norm(project(s, 2.0, 1.0), 1.0) == 0.0
+    assert y_norm(project(s, 2.0, 1.0), L2, 1.0) == 0.0
 
 
 def test_project_eigenvalue_units_q2():
@@ -236,7 +254,7 @@ def test_projected_eigenvalue_estimate(rng):
             m = float(rng.uniform(1.0, grid.n_modes**q))
             p = project(s, m, q)
             ap = FourierState(grid, lam * p.coeffs)
-            assert y_norm(ap, q) <= m * y_norm(p, q) * (1 + 1e-12)
+            assert y_norm(ap, OFFSETS[q], q) <= m * y_norm(p, OFFSETS[q], q) * (1 + 1e-12)
 
 
 # -- tail bound ---------------------------------------------------------------
@@ -244,7 +262,7 @@ def test_projected_eigenvalue_estimate(rng):
 
 def test_tail_bound_zero_state():
     grid = FourierGrid(n_modes=4, n_phys=16)
-    lhs, rhs = tail_bound_check(FourierState.zeros(grid), GevreyIndex(0.5, 1, 1), 2.0)
+    lhs, rhs = tail_bound_check(FourierState.zeros(grid), L2, GevreyIndex(0.5, 1, 1), 2.0)
     assert lhs == 0.0 and rhs == 0.0
 
 
@@ -252,7 +270,7 @@ def test_tail_bound_no_tail(rng):
     grid = FourierGrid(n_modes=5, n_phys=16)
     s = FourierState.zeros(grid)
     s.set_mode(1, 0.7)
-    lhs, rhs = tail_bound_check(s, GevreyIndex(0.3, 0, 1), 4.0)
+    lhs, rhs = tail_bound_check(s, L2, GevreyIndex(0.3, 0, 1), 4.0)
     assert lhs == 0.0
     assert rhs > 0.0
 
@@ -263,7 +281,7 @@ def test_tail_bound_exponential_data():
     s = FourierState.zeros(grid)
     for k in grid.wavenumbers:
         s.set_mode(int(k), math.exp(-0.3 * abs(k)))
-    lhs, rhs = tail_bound_check(s, GevreyIndex(0.3, 0.0, 1.0), 8.0)
+    lhs, rhs = tail_bound_check(s, L2, GevreyIndex(0.3, 0.0, 1.0), 8.0)
     # oracle: sum the tail directly
     tail = sum(
         math.exp(-0.6 * abs(k)) for k in grid.wavenumbers if abs(k) > 8
@@ -279,7 +297,7 @@ def test_tail_bound_random_states(rng):
             s = random_state(grid, 1, rng, decay=0.8)
             idx = GevreyIndex(0.6, 1.0, q)
             m = float(rng.uniform(1.0, grid.n_modes**q))
-            lhs, rhs = tail_bound_check(s, idx, m)
+            lhs, rhs = tail_bound_check(s, OFFSETS[q], idx, m)
             assert lhs <= rhs * (1 + 1e-10)
 
 
@@ -319,6 +337,6 @@ def test_operator_bound_dominates_measured_ratio(rng):
             for _ in range(20):
                 s = random_state(grid, 1, rng, decay=sigma)
                 ap = FourierState(grid, (lam**p) * s.coeffs)
-                num = gevrey_norm(ap, GevreyIndex(tau, 0.0, q))
-                den = gevrey_norm(s, GevreyIndex(sigma, 0.0, q))
+                num = gevrey_norm(ap, OFFSETS[q], GevreyIndex(tau, 0.0, q))
+                den = gevrey_norm(s, OFFSETS[q], GevreyIndex(sigma, 0.0, q))
                 assert num <= bound * den * (1 + 1e-12)

@@ -99,6 +99,33 @@ def test_library_modules_use_every_name_they_import():
     assert unused == []
 
 
+def _called_name(node):
+    func = node.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def test_only_spectral_builds_the_energy_weights():
+    # the energy norm has one spelling: a model's offsets and q handed to
+    # spectral's norms and weights; a module that built the weights itself
+    # (a GevreyIndex(0.0, 0.0, ...) or a _mode_weights call) would be a
+    # second place deciding the energy space
+    direct = []
+    for path in sorted((ROOT / "src" / "hambea").rglob("*.py")):
+        if path.name == "spectral.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = _called_name(node)
+            args = dict(zip(("tau", "ell"), node.args))
+            args.update((k.arg, k.value) for k in node.keywords)
+            tau_ell = [args.get("tau"), args.get("ell")]
+            plain = all(isinstance(a, ast.Constant) and a.value == 0 for a in tau_ell)
+            if name == "_mode_weights" or (name == "GevreyIndex" and plain):
+                direct.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert direct == []
+
+
 def test_public_names_resolve():
     missing = [name for name in hambea.__all__ if not hasattr(hambea, name)]
     assert missing == []
