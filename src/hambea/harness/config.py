@@ -42,44 +42,42 @@ unknown keys are a ConfigError, as in every other section.  Integer fields
 entries, n_max, the k and component of explicit entries and params.sigma)
 take integers or integral floats such as 16.0; any other value, true and
 false included, is a ConfigError.  Every other numeric field takes finite
-numbers only; NaN and the infinities are a ConfigError naming the field.  A
+numbers only; NaN and the infinities are a ConfigError naming the field.
+
+Each section is a dataclass, and each of its fields declares its key, its
+default and its check once, through ``_field``; one parser reads every
+section from them.  A name or range that a library type owns is checked by
+that type alone, and its ValueError becomes a ConfigError: the model name and
+params by ``make_model``, the tableau by ``make_tableau``, the solver,
+``max_iter`` and ``stage_tol`` by ``StageSolveConfig``, ``bea.policy`` by
+``TruncationPolicy``, and ``band`` and ``n_phys`` by ``FourierGrid``.  A
 parsed config re-serializes to the identical canonical dict, and its SHA-256
 hash (first 12 hex digits) stamps every CSV row the harness writes.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field
 
 import numpy as np
 import numpy.random  # loaded at import, not in a study run (see spectral.py)
 
 from .. import __version__
-from ..bea import N_MAX_DEFAULT
+from ..bea import N_MAX_DEFAULT, TruncationPolicy
 from ..errors import ConfigError, DomainError, HambeaError
 from ..models import PdeModel, make_model
 from ..rk import StageSolveConfig, make_tableau
 from ..spectral import FourierGrid, FourierState, hermitian_defect
 
-TABLEAU_IDS = ("midpoint", "gauss1", "gauss2", "gauss3")
-# the keys of run.initial for each kind, in canonical order
-_IC_KEYS = {
-    "gevrey_decay": ("kind", "tau", "ell", "amplitude", "seed"),
-    "plane_wave": ("kind", "k", "component", "amplitude"),
-    "explicit": ("kind", "entries"),
-}
-IC_KINDS = tuple(_IC_KEYS)
-POLICY_MODES = ("explicit", "coupled")
+IC_KINDS = ("gevrey_decay", "plane_wave", "explicit")
 OUTPUT_FORMATS = ("csv", "plots")
 
-
-def _reject_unknown(d: dict, allowed: tuple[str, ...], where: str) -> None:
-    extra = set(d) - set(allowed)
-    if extra:
-        raise ConfigError(f"unknown key(s) {sorted(extra)} in {where}")
+# -- checks: each takes (value, where), returns the value to store or raises
+# a ConfigError naming the field at where
 
 
 def _coerce_number(value, where: str) -> float:
@@ -95,19 +93,157 @@ def _coerce_int(value, where: str) -> int:
     return int(value)
 
 
-def _check_fields(d, fields: dict | None, where: str) -> None:
-    """Refuse a non-object, keys outside fields, and values their checks refuse.
+def _text(value, where: str) -> str:
+    return str(value)
 
-    fields maps each key to its check, or to None for none; fields None takes
-    any key with a finite number.
+
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be an object")
+    return dict(value)
+
+
+def _optional(check):
+    """check, taking null as None."""
+    return lambda value, where: None if value is None else check(value, where)
+
+
+def _ranged(check, ok, needs: str):
+    """check, then refuse the values ok is false on; needs says what they must be."""
+    def checked(value, where):
+        out = check(value, where)
+        if not ok(out):
+            raise ConfigError(f"{where} must be {needs}, got {out!r}")
+        return out
+    return checked
+
+
+_POSITIVE = _ranged(_coerce_number, lambda v: v > 0, "positive")
+_COUNT = _ranged(_coerce_int, lambda v: v >= 1, "at least 1")
+
+
+def _one_of(choices: tuple):
+    def checked(value, where):
+        if value not in choices:
+            raise ConfigError(f"{where} must be one of {choices}, got {value!r}")
+        return value
+    return checked
+
+
+def _list_of(check, nonempty: bool = True):
+    """A list, each entry checked as '<where> entry'."""
+    def checked(value, where):
+        if not isinstance(value, list) or nonempty and not value:
+            raise ConfigError(f"{where} must be a {'nonempty ' if nonempty else ''}list")
+        return [check(v, f"{where} entry") for v in value]
+    return checked
+
+
+def _refused(make, where: str, *args):
+    """make(*args), a library constructor, with its refusal as a ConfigError."""
+    try:
+        return make(*args)
+    except (ValueError, KeyError, TypeError) as e:
+        raise ConfigError(f"{where}: {e}") from e
+
+
+def _named(make):
+    """A name that the library constructor make owns and checks."""
+    def checked(value, where):
+        _refused(make, where, str(value))
+        return str(value)
+    return checked
+
+
+_ENTRY = {"k": _coerce_int, "component": _coerce_int, "re": _coerce_number, "im": _coerce_number}
+
+
+def _explicit_entry(row, where: str) -> list:
+    if not isinstance(row, list) or len(row) != 4:
+        raise ConfigError(f"each explicit entry must be [k, component, re, im], got {row!r}")
+    return [check(v, f"explicit entry {name}") for (name, check), v in zip(_ENTRY.items(), row)]
+
+
+_H_RANGE = {"start": _coerce_number, "factor": _coerce_number, "count": _COUNT}
+
+
+def _parse_h(value, where: str) -> list[float]:
+    if isinstance(value, dict):
+        r = _check_fields(value, _H_RANGE, where)
+        missing = [key for key in _H_RANGE if key not in r]
+        if missing:
+            raise ConfigError(f"{where} geometric range is missing {missing[0]!r}")
+        hs = [r["start"] * r["factor"] ** i for i in range(r["count"])]
+    else:
+        hs = _list_of(_coerce_number)(value, where)
+    if any(h <= 0 for h in hs):
+        raise ConfigError(f"{where} values must be positive")
+    if any(b >= a for a, b in zip(hs, hs[1:])):
+        raise ConfigError(f"{where} values must be strictly decreasing")
+    return hs
+
+
+# -- fields and sections
+
+
+def _field(check, default=MISSING, *, kinds: tuple | None = None):
+    """A config field: its check, its default (none: the key is required) and,
+    in run.initial, the kinds that take it.
+
+    A None default also takes null; a list, dict or section default is built
+    afresh for each instance.
+    """
+    if default is None:
+        check = _optional(check)
+    meta = {"check": check, "kinds": kinds}
+    if isinstance(default, (list, dict)):
+        return field(default_factory=default.copy, metadata=meta)
+    if isinstance(default, type):
+        return field(default_factory=default, metadata=meta)
+    return field(default=default, metadata=meta)
+
+
+def _section(cls, required: bool = False):
+    """A field holding the section cls, parsed from its object."""
+    def parse(d, where):
+        return cls(**_check_fields(d, cls, where))
+    return _field(parse, MISSING if required else cls)
+
+
+def _fields_of(cls, kind) -> list:
+    """The fields of the dataclass cls that an object of the given kind takes."""
+    return [f for f in dataclasses.fields(cls) if kind in (f.metadata["kinds"] or (kind,))]
+
+
+def _check_fields(d, fields, where: str) -> dict:
+    """The keys of the JSON object d, each with the value its check returns.
+
+    fields maps each key to its check, or to None to keep the value as given,
+    and None takes any key with a finite number.  A section dataclass stands
+    for its fields as declared by _field: those without a default are
+    required, and those with kinds are keys only of objects of those kinds.
+    Refuses a non-object, missing and unknown keys, and values their checks
+    refuse; where "" is the config root.
     """
     if not isinstance(d, dict):
-        raise ConfigError(f"{where} must be an object")
-    fields = dict.fromkeys(d, _coerce_number) if fields is None else fields
-    _reject_unknown(d, tuple(fields), where)
-    for key, check in fields.items():
-        if check is not None and key in d:
-            check(d[key], f"{where}.{key}")
+        raise ConfigError(f"{where or 'config'} must be an object")
+    at = f"{where}." if where else ""
+    if fields is None:
+        fields = dict.fromkeys(d, _coerce_number)
+    elif isinstance(fields, type):
+        declared = _fields_of(fields, d.get("kind", getattr(fields, "kind", None)))
+        for f in declared:
+            if f.default is MISSING and f.default_factory is MISSING and f.name not in d:
+                raise ConfigError(f"{at}{f.name} is required")
+        fields = {f.name: f.metadata["check"] for f in declared}
+    out = {}
+    for key, value in d.items():
+        if key in fields:
+            out[key] = value if fields[key] is None else fields[key](value, at + key)
+    extra = set(d) - set(fields)
+    if extra:
+        raise ConfigError(f"unknown key(s) {sorted(extra)} in {where or 'config'}")
+    return out
 
 
 _POTENTIAL_FIELDS = {
@@ -118,7 +254,7 @@ _POTENTIAL_FIELDS = {
 
 def _check_potential(pot, where: str) -> None:
     kind = pot.get("kind", "poly") if isinstance(pot, dict) else "poly"
-    if kind in _POTENTIAL_FIELDS:  # make_model refuses any other kind
+    if isinstance(kind, str) and kind in _POTENTIAL_FIELDS:  # make_model refuses any other
         _check_fields(pot, _POTENTIAL_FIELDS[kind], where)
 
 
@@ -133,57 +269,18 @@ _PARAM_FIELDS = {
 
 @dataclass
 class ModelSection:
-    name: str
-    params: dict = field(default_factory=dict)
-    band: int = 16
-    n_phys: int | None = None
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelSection":
-        _reject_unknown(d, ("name", "params", "band", "n_phys"), "model")
-        if "name" not in d:
-            raise ConfigError("model.name is required")
-        name, params = str(d["name"]), d.get("params", {})
-        if not isinstance(params, dict):
-            raise ConfigError("model.params must be an object")
-        if name in _PARAM_FIELDS:
-            _check_fields(params, _PARAM_FIELDS[name], "model.params")
-        out = cls(
-            name=name,
-            params=dict(params),
-            band=_coerce_int(d.get("band", 16), "model.band"),
-            n_phys=None if d.get("n_phys") is None else _coerce_int(d["n_phys"], "model.n_phys"),
-        )
-        if out.band < 1:
-            raise ConfigError("model.band must be a positive integer")
-        return out
+    name: str = _field(_text)
+    params: dict = _field(_object, {})
+    band: int = _field(_coerce_int, 16)
+    n_phys: int | None = _field(_coerce_int, None)
 
 
 @dataclass
 class MethodSection:
-    tableau: str = "midpoint"
-    stage_tol: float = 1e-12
-    solver: str = "fixed_point"
-    max_iter: int = 100
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MethodSection":
-        _reject_unknown(d, ("tableau", "stage_tol", "solver", "max_iter"), "method")
-        out = cls(
-            tableau=str(d.get("tableau", "midpoint")),
-            stage_tol=_coerce_number(d.get("stage_tol", 1e-12), "method.stage_tol"),
-            solver=str(d.get("solver", "fixed_point")),
-            max_iter=_coerce_int(d.get("max_iter", 100), "method.max_iter"),
-        )
-        if out.tableau not in TABLEAU_IDS:
-            raise ConfigError(f"method.tableau must be one of {TABLEAU_IDS}, got {out.tableau!r}")
-        if out.stage_tol <= 0:
-            raise ConfigError("method.stage_tol must be positive")
-        if out.solver not in ("fixed_point", "newton_on_modes"):
-            raise ConfigError(f"unknown method.solver {out.solver!r}")
-        if out.max_iter < 1:
-            raise ConfigError("method.max_iter must be at least 1")
-        return out
+    tableau: str = _field(_named(make_tableau), "midpoint")
+    stage_tol: float = _field(_coerce_number, 1e-12)
+    solver: str = _field(_text, "fixed_point")
+    max_iter: int = _field(_coerce_int, 100)
 
     def stage_config(self) -> StageSolveConfig:
         return StageSolveConfig(
@@ -193,206 +290,59 @@ class MethodSection:
 
 @dataclass
 class InitialConditionSpec:
-    kind: str = "gevrey_decay"
-    tau: float = 0.5
-    ell: float = 2.0
-    amplitude: float = 0.4
-    seed: int | None = None
-    k: int = 1
-    component: int = 0
-    entries: list = field(default_factory=list)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "InitialConditionSpec":
-        kind = str(d.get("kind", "gevrey_decay"))
-        if kind not in _IC_KEYS:
-            raise ConfigError(f"run.initial.kind must be one of {IC_KINDS}, got {kind!r}")
-        _reject_unknown(d, _IC_KEYS[kind], "run.initial")
-        if kind == "gevrey_decay":
-            out = cls(
-                kind=kind,
-                tau=_coerce_number(d.get("tau", 0.5), "run.initial.tau"),
-                ell=_coerce_number(d.get("ell", 2.0), "run.initial.ell"),
-                amplitude=_coerce_number(d.get("amplitude", 0.4), "run.initial.amplitude"),
-                seed=None if d.get("seed") is None else _coerce_int(d["seed"], "run.initial.seed"),
-            )
-            if out.tau <= 0 or out.ell < 0 or out.amplitude <= 0:
-                raise ConfigError("gevrey_decay needs tau > 0, ell >= 0, amplitude > 0")
-            return out
-        if kind == "plane_wave":
-            return cls(
-                kind=kind,
-                k=_coerce_int(d.get("k", 1), "run.initial.k"),
-                component=_coerce_int(d.get("component", 0), "run.initial.component"),
-                amplitude=_coerce_number(d.get("amplitude", 0.4), "run.initial.amplitude"),
-            )
-        entries = d.get("entries", [])
-        if not isinstance(entries, list) or not entries:
-            raise ConfigError("explicit initial condition needs a nonempty entries list")
-        parsed = []
-        for row in entries:
-            if not isinstance(row, list) or len(row) != 4:
-                raise ConfigError(
-                    "each explicit entry must be [k, component, re, im], "
-                    f"got {row!r}"
-                )
-            parsed.append([
-                _coerce_int(row[0], "explicit entry k"),
-                _coerce_int(row[1], "explicit entry component"),
-                _coerce_number(row[2], "explicit entry re"),
-                _coerce_number(row[3], "explicit entry im"),
-            ])
-        return cls(kind=kind, entries=parsed)
+    kind: str = _field(_one_of(IC_KINDS), "gevrey_decay")
+    tau: float = _field(_POSITIVE, 0.5, kinds=("gevrey_decay",))
+    ell: float = _field(_ranged(_coerce_number, lambda v: v >= 0, "nonnegative"), 2.0,
+                        kinds=("gevrey_decay",))
+    amplitude: float = _field(_coerce_number, 0.4, kinds=("gevrey_decay", "plane_wave"))
+    seed: int | None = _field(_coerce_int, None, kinds=("gevrey_decay",))
+    k: int = _field(_coerce_int, 1, kinds=("plane_wave",))
+    component: int = _field(_coerce_int, 0, kinds=("plane_wave",))
+    entries: list = _field(_list_of(_explicit_entry, nonempty=False), [], kinds=("explicit",))
 
     def to_dict(self) -> dict:
-        return {key: getattr(self, key) for key in _IC_KEYS[self.kind]}
-
-
-def _parse_h(value) -> list[float]:
-    if isinstance(value, dict):
-        _reject_unknown(value, ("start", "factor", "count"), "run.h")
-        try:
-            start = _coerce_number(value["start"], "run.h.start")
-            factor = _coerce_number(value["factor"], "run.h.factor")
-            count = _coerce_int(value["count"], "run.h.count")
-        except KeyError as e:
-            raise ConfigError(f"run.h geometric range is missing {e.args[0]!r}") from None
-        if count < 1:
-            raise ConfigError("run.h.count must be at least 1")
-        hs = [start * factor**i for i in range(count)]
-    elif isinstance(value, list):
-        hs = [_coerce_number(v, "run.h entry") for v in value]
-    else:
-        raise ConfigError("run.h must be a list or a {start, factor, count} range")
-    if not hs:
-        raise ConfigError("run.h must not be empty")
-    if any(h <= 0 for h in hs):
-        raise ConfigError("run.h values must be positive")
-    if any(b >= a for a, b in zip(hs, hs[1:])):
-        raise ConfigError("run.h values must be strictly decreasing")
-    return hs
+        return {f.name: getattr(self, f.name) for f in _fields_of(type(self), self.kind)}
 
 
 @dataclass
 class RunSection:
-    h: list[float]
-    T: float
-    initial: InitialConditionSpec
-    samples: int = 33
-    m: float | None = None
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunSection":
-        _reject_unknown(d, ("h", "T", "initial", "samples", "m"), "run")
-        for key in ("h", "T"):
-            if key not in d:
-                raise ConfigError(f"run.{key} is required")
-        out = cls(
-            h=_parse_h(d["h"]),
-            T=_coerce_number(d["T"], "run.T"),
-            initial=InitialConditionSpec.from_dict(d.get("initial", {})),
-            samples=_coerce_int(d.get("samples", 33), "run.samples"),
-            m=None if d.get("m") is None else _coerce_number(d["m"], "run.m"),
-        )
-        if out.T <= 0:
-            raise ConfigError("run.T must be positive")
-        if out.samples < 2:
-            raise ConfigError("run.samples must be at least 2")
-        if out.m is not None and out.m <= 0:
-            raise ConfigError("run.m must be positive when given")
-        return out
+    h: list[float] = _field(_parse_h)
+    T: float = _field(_POSITIVE)
+    initial: InitialConditionSpec = _section(InitialConditionSpec)
+    samples: int = _field(_ranged(_coerce_int, lambda v: v >= 2, "at least 2"), 33)
+    m: float | None = _field(_POSITIVE, None)
 
 
 @dataclass
 class BeaSection:
-    policy: str = "explicit"
-    n: list[int] = field(default_factory=lambda: [3])
-    m: list[float | None] = field(default_factory=lambda: [None])
-    tau: float | None = None
-    delta: float = 0.25
-    chi: float | None = None
-    c_F: float | None = None
-    n_max: int = N_MAX_DEFAULT
-    q: float | None = None
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BeaSection":
-        _reject_unknown(
-            d, ("policy", "n", "m", "tau", "delta", "chi", "c_F", "n_max", "q"), "bea"
-        )
-        n_raw = d.get("n", [3])
-        m_raw = d.get("m", [None])
-        if not isinstance(n_raw, list) or not n_raw:
-            raise ConfigError("bea.n must be a nonempty list")
-        if not isinstance(m_raw, list) or not m_raw:
-            raise ConfigError("bea.m must be a nonempty list")
-        out = cls(
-            policy=str(d.get("policy", "explicit")),
-            n=[_coerce_int(v, "bea.n entry") for v in n_raw],
-            m=[None if v is None else _coerce_number(v, "bea.m entry") for v in m_raw],
-            tau=None if d.get("tau") is None else _coerce_number(d["tau"], "bea.tau"),
-            delta=_coerce_number(d.get("delta", 0.25), "bea.delta"),
-            chi=None if d.get("chi") is None else _coerce_number(d["chi"], "bea.chi"),
-            c_F=None if d.get("c_F") is None else _coerce_number(d["c_F"], "bea.c_F"),
-            n_max=_coerce_int(d.get("n_max", N_MAX_DEFAULT), "bea.n_max"),
-            q=None if d.get("q") is None else _coerce_number(d["q"], "bea.q"),
-        )
-        if out.policy not in POLICY_MODES:
-            raise ConfigError(f"bea.policy must be one of {POLICY_MODES}, got {out.policy!r}")
-        if any(n < 1 for n in out.n):
-            raise ConfigError("bea.n entries must be at least 1")
-        if any(m is not None and m <= 0 for m in out.m):
-            raise ConfigError("bea.m entries must be positive when given")
-        if out.delta <= 0:
-            raise ConfigError("bea.delta must be positive")
-        if out.n_max < 1:
-            raise ConfigError("bea.n_max must be at least 1")
-        if out.policy == "coupled" and (out.tau is None or out.tau <= 0):
-            raise ConfigError("coupled bea policy requires tau > 0")
-        return out
+    policy: str = _field(_named(TruncationPolicy), "explicit")
+    n: list[int] = _field(_list_of(_COUNT), [3])
+    m: list[float | None] = _field(_list_of(_optional(_POSITIVE)), [None])
+    tau: float | None = _field(_coerce_number, None)
+    delta: float = _field(_POSITIVE, 0.25)
+    chi: float | None = _field(_coerce_number, None)
+    c_F: float | None = _field(_coerce_number, None)
+    n_max: int = _field(_COUNT, N_MAX_DEFAULT)
+    q: float | None = _field(_coerce_number, None)
 
 
 @dataclass
 class OutputSection:
-    directory: str = "out"
-    formats: list[str] = field(default_factory=lambda: ["csv"])
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "OutputSection":
-        _reject_unknown(d, ("directory", "formats"), "output")
-        out = cls(
-            directory=str(d.get("directory", "out")),
-            formats=[str(f) for f in d.get("formats", ["csv"])],
-        )
-        for f in out.formats:
-            if f not in OUTPUT_FORMATS:
-                raise ConfigError(f"output.formats entries must be among {OUTPUT_FORMATS}")
-        return out
+    directory: str = _field(_text, "out")
+    formats: list[str] = _field(_list_of(_one_of(OUTPUT_FORMATS), nonempty=False), ["csv"])
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ExperimentConfig:
-    model: ModelSection
-    method: MethodSection
-    run: RunSection
-    bea: BeaSection
-    output: OutputSection
+    model: ModelSection = _section(ModelSection, required=True)
+    method: MethodSection = _section(MethodSection)
+    run: RunSection = _section(RunSection, required=True)
+    bea: BeaSection = _section(BeaSection)
+    output: OutputSection = _section(OutputSection)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        if not isinstance(d, dict):
-            raise ConfigError("config root must be an object")
-        _reject_unknown(d, ("model", "method", "run", "bea", "output"), "config")
-        for key in ("model", "run"):
-            if key not in d:
-                raise ConfigError(f"config section {key!r} is required")
-        cfg = cls(
-            model=ModelSection.from_dict(d["model"]),
-            method=MethodSection.from_dict(d.get("method", {})),
-            run=RunSection.from_dict(d["run"]),
-            bea=BeaSection.from_dict(d.get("bea", {})),
-            output=OutputSection.from_dict(d.get("output", {})),
-        )
+        cfg = cls(**_check_fields(d, cls, ""))
         cfg.validate()
         return cfg
 
@@ -403,39 +353,38 @@ class ExperimentConfig:
         return out
 
     def validate(self) -> None:
-        model = self.resolve_model()
+        """The checks that span fields: params against the model name, the
+        library types built from several fields, and the initial data against
+        the model and the band."""
+        if self.model.name in _PARAM_FIELDS:
+            _check_fields(self.model.params, _PARAM_FIELDS[self.model.name], "model.params")
+        model, grid = self.resolve_model(), self.make_grid()
+        _refused(self.method.stage_config, "method.solver, stage_tol, max_iter")
         if self.bea.q is not None and self.bea.q != model.q:
             raise ConfigError(
                 f"bea.q = {self.bea.q} contradicts the model's eigenvalue growth "
                 f"exponent q = {model.q}"
             )
-        if self.model.n_phys is not None and self.model.n_phys < 2 * self.model.band + 1:
-            raise ConfigError("model.n_phys must be at least 2*band + 1")
+        if self.bea.policy == "coupled" and (self.bea.tau is None or self.bea.tau <= 0):
+            raise ConfigError("coupled bea policy requires tau > 0")
         ic = self.run.initial
-        if ic.kind == "plane_wave":
-            if abs(ic.k) > self.model.band:
-                raise ConfigError("plane_wave mode index lies outside the band")
-            if not 0 <= ic.component < model.components:
-                raise ConfigError("plane_wave component index out of range")
-        if ic.kind == "explicit":
-            for k, comp, _re, _im in ic.entries:
-                if abs(k) > self.model.band:
-                    raise ConfigError(f"explicit entry mode {k} lies outside the band")
-                if not 0 <= comp < model.components:
-                    raise ConfigError(f"explicit entry component {comp} out of range")
+        if ic.kind == "gevrey_decay" and ic.amplitude <= 0:
+            raise ConfigError("gevrey_decay needs amplitude > 0")
+        if ic.kind == "explicit" and not ic.entries:
+            raise ConfigError("explicit initial condition needs a nonempty entries list")
+        modes = [(ic.k, ic.component)] if ic.kind == "plane_wave" else ic.entries
+        for k, comp, *_value in modes:
+            if abs(k) > grid.n_modes:
+                raise ConfigError(f"run.initial mode {k} lies outside the band")
+            if not 0 <= comp < model.components:
+                raise ConfigError(f"run.initial component {comp} out of range")
 
     def resolve_model(self) -> PdeModel:
-        try:
-            return make_model(self.model.name, self.model.params)
-        except (ValueError, KeyError, TypeError) as e:
-            raise ConfigError(f"invalid model section: {e}") from e
+        return _refused(make_model, "invalid model section", self.model.name, self.model.params)
 
     def make_grid(self) -> FourierGrid:
-        model = self.resolve_model()
-        try:
-            return model.make_grid(self.model.band, self.model.n_phys)
-        except ValueError as e:
-            raise ConfigError(f"invalid grid parameters: {e}") from e
+        band, n_phys = self.model.band, self.model.n_phys
+        return _refused(self.resolve_model().make_grid, "model.band, model.n_phys", band, n_phys)
 
     def make_tableau(self):
         return make_tableau(self.method.tableau)
@@ -459,6 +408,8 @@ def load_config(path) -> ExperimentConfig:
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
     return ExperimentConfig.from_dict(raw)
+
+
 
 
 # ---------------------------------------------------------------------------

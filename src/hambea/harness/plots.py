@@ -15,7 +15,7 @@ import csv
 import textwrap
 from pathlib import Path
 
-_METHOD_ORDER = {"midpoint": 2, "gauss1": 2, "gauss2": 4, "gauss3": 6}
+from ..rk import make_tableau
 
 _PRELUDE = """\
 #!/usr/bin/env python3
@@ -53,9 +53,7 @@ def _read_rows(path: Path) -> list[dict]:
 
 
 def _method_order(rows: list[dict]) -> int:
-    if rows:
-        return _METHOD_ORDER.get(rows[0].get("tableau", ""), 2)
-    return 2
+    return make_tableau(rows[0]["tableau"]).order if rows else 2
 
 
 def _script_trajectory(rows: list[dict], csv_name: str) -> str:

@@ -222,7 +222,7 @@ class RealChart:
 
 def _fast_fft_len(target: int) -> int:
     """Smallest 2^a 3^b 5^c 7^d 11^e >= target, a length pocketfft transforms fast."""
-    n = target
+    n = max(target, 1)
     while True:
         rest = n
         for p in (2, 3, 5, 7, 11):
@@ -236,9 +236,12 @@ def _fast_fft_len(target: int) -> int:
 class PdeModel:
     name: str
     q: float
-    components: int
     energy_offsets: tuple[float, ...]  # energy space H^{s_1} x H^{s_2} x ..., one s_c each
     is_real_field: bool = False
+
+    @property
+    def components(self) -> int:
+        return len(self.energy_offsets)
 
     # -- grids ---------------------------------------------------------
 
@@ -365,7 +368,6 @@ class WaveModel(PdeModel):
 
     name = "wave"
     q = 1.0
-    components = 2
     energy_offsets = (1.0, 0.0)  # H^1 x L^2
     is_real_field = True
 
@@ -443,7 +445,6 @@ class WaveModel(PdeModel):
 
 class _SchroedingerBase(PdeModel):
     q = 2.0
-    components = 1
     energy_offsets = (1.0,)  # H^1
 
     @staticmethod
@@ -608,20 +609,20 @@ class NonlocalNlsModel(_SchroedingerBase):
 def make_model(name: str, params: dict | None = None) -> PdeModel:
     params = dict(params or {})
     if name == "wave":
-        pot = params.get("potential", {"kind": "poly", "coeffs": {"2": 0.5}})
-        kind = pot.get("kind", "poly")
+        pot = dict(params.get("potential", {"kind": "poly", "coeffs": {"2": 0.5}}))
+        kind = pot.pop("kind", "poly")
         if kind == "poly":
             coeffs = {int(j): float(c) for j, c in pot.get("coeffs", {}).items()}
             potential = PolyPotential(coeffs)
         elif kind == "sine_gordon":
-            potential = SineGordonPotential(float(pot.get("gamma", 1.0)))
+            potential = SineGordonPotential(**pot)
         else:
             raise ValueError(f"unknown wave potential kind {kind!r}")
         return WaveModel(potential)
     if name == "nls":
-        return NlsModel(int(params.get("sigma", 1)), float(params.get("lam", 1.0)))
+        return NlsModel(**params)
     if name == "nonlocal_nls":
-        return NonlocalNlsModel(float(params.get("rho_min", 1e-3)))
+        return NonlocalNlsModel(**params)
     raise ValueError(f"unknown model {name!r}")
 
 

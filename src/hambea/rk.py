@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import numpy.polynomial  # loaded at import, not in a study run (see spectral.py)
@@ -78,12 +78,15 @@ class ButcherTableau:
         return float(np.max(np.abs(ba + ba.T - np.outer(self.b, self.b))))
 
 
+@lru_cache(maxsize=None)
 def gauss_legendre(s: int, name: str | None = None) -> ButcherTableau:
     """Gauss-Legendre collocation with s stages (classical order 2s).
 
     Nodes are the roots of the shifted Legendre polynomial on [0, 1]; weights
     and the coefficient matrix come from exact integration of the Lagrange
-    basis, a_ij = int_0^{c_i} l_j, b_j = int_0^1 l_j.
+    basis, a_ij = int_0^{c_i} l_j, b_j = int_0^1 l_j.  Memoised per (s, name),
+    so a config check and the study it admits build the tableau once; the
+    shared arrays are read-only.
     """
     if s < 1:
         raise ValueError("stage count must be positive")
@@ -98,6 +101,7 @@ def gauss_legendre(s: int, name: str | None = None) -> ButcherTableau:
                 lj = lj * np.polynomial.Polynomial([-c[r], 1.0]) / (c[j] - c[r])
         prim = lj.integ()
         a[:, j] = prim(c) - prim(0.0)
+    a.flags.writeable = b.flags.writeable = c.flags.writeable = False
     return ButcherTableau(name or f"gauss{s}", a, b, c, order=2 * s)
 
 
@@ -136,6 +140,8 @@ class StageSolveConfig:
             raise ValueError(f"unknown stage solve scheme {self.scheme!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
+        if not self.tol > 0:
+            raise ValueError("tol must be positive")
 
 
 @dataclass

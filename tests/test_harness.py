@@ -12,16 +12,26 @@ import sys
 import numpy as np
 import pytest
 
-from hambea import ConfigError, ConvergenceError, GevreyIndex, Stepper, tail_bound_check
+from hambea import (
+    ConfigError,
+    ConvergenceError,
+    GevreyIndex,
+    StageSolveConfig,
+    Stepper,
+    rk,
+    tail_bound_check,
+)
 from hambea.harness import (
     ExperimentConfig,
     build_initial_state,
     emit_plots,
     load_config,
     run_bea_verify,
+    run_convergence_study,
     run_drift_study,
     run_integrate,
 )
+from hambea.harness import config as config_module
 from hambea.harness.cli import _STUDIES
 from hambea.harness.cli import main as cli_main
 from hambea.harness.config import InitialConditionSpec
@@ -174,6 +184,84 @@ def test_semantic_validation():
         ExperimentConfig.from_dict(d)
 
 
+# every field off its default, each section given
+_OFF_DEFAULT = {
+    "model": {"name": "wave", "params": {"potential": {"kind": "sine_gordon", "gamma": 0.5}},
+              "band": 6, "n_phys": 40},
+    "method": {"tableau": "gauss2", "stage_tol": 1e-11, "solver": "newton_on_modes",
+               "max_iter": 50},
+    "run": {"h": {"start": 0.1, "factor": 0.5, "count": 3}, "T": 0.3,
+            "initial": {"kind": "plane_wave", "k": 2, "component": 1, "amplitude": 0.2},
+            "samples": 5, "m": 9.0},
+    "bea": {"policy": "coupled", "n": [3, 5], "m": [4.0, None], "tau": 1.0, "delta": 0.5,
+            "chi": 100.0, "c_F": 2.0, "n_max": 5, "q": 1.0},
+    "output": {"directory": "x", "formats": ["csv", "plots"]},
+}
+
+
+def test_config_hash_is_pinned():
+    # the canonical form, and so every config_hash column, stays as released
+    assert ExperimentConfig.from_dict(base_config()).config_hash == "58e2aec2f8bf"
+    assert ExperimentConfig.from_dict(copy.deepcopy(_OFF_DEFAULT)).config_hash == "669afa45148a"
+
+
+def test_documented_grammar_round_trips():
+    # the module docstring's example, which spells out every default, parses
+    # to itself, so the documented defaults are the declared ones
+    block = config_module.__doc__.split(".. code-block:: json")[1].split("\n\n")[1]
+    example = json.loads(block)
+    assert ExperimentConfig.from_dict(copy.deepcopy(example)).to_dict() == example
+
+
+def test_tableau_added_in_rk_reaches_config_study_and_plots(tmp_path, monkeypatch):
+    # the harness takes tableau names and orders from rk alone
+    monkeypatch.setitem(rk._TABLEAU_STAGES, "gauss4", 4)
+    d = base_config()
+    d["method"]["tableau"] = "gauss4"
+    cfg = ExperimentConfig.from_dict(d)
+    csv_path = run_convergence_study(cfg, out_dir=tmp_path)
+    with open(csv_path, newline="", encoding="utf-8") as f:
+        rows = list(csv.DictReader(f))
+    assert rows and all(r["status"] == "ok" and r["tableau"] == "gauss4" for r in rows)
+    (script,) = emit_plots([csv_path])
+    assert script.name == "plot_convergence.py"
+    text = script.read_text(encoding="utf-8")
+    assert "** 8 for h in ref" in text and 'label="slope 8"' in text
+
+
+@pytest.mark.parametrize("section,key,bad,field", [
+    ("method", "tableau", "rk4", "method.tableau"),
+    ("method", "solver", "newton", "method.solver"),
+    ("method", "max_iter", 0, "max_iter"),
+    ("bea", "policy", "adaptive", "bea.policy"),
+    ("model", "band", 0, "model.band"),
+    ("model", "band", -3, "model.band"),
+    ("model", "n_phys", 5, "model.n_phys"),
+])
+def test_library_types_refuse_names_and_ranges(section, key, bad, field):
+    # the owning library type refuses the value; the error still names the field
+    d = base_config()
+    d[section][key] = bad
+    with pytest.raises(ConfigError, match=re.escape(field)):
+        ExperimentConfig.from_dict(d)
+
+
+@pytest.mark.parametrize("kind", [[1], {"a": 1}])
+def test_unhashable_potential_kind_is_a_config_error(kind):
+    d = base_config()
+    d["model"].update(name="wave", params={"potential": {"kind": kind}})
+    with pytest.raises(ConfigError, match="potential kind"):
+        ExperimentConfig.from_dict(d)
+
+
+def test_stage_tol_is_checked_by_the_stage_solver(tmp_path):
+    with pytest.raises(ValueError, match="tol"):
+        StageSolveConfig(tol=0.0)
+    d = base_config()
+    d["method"]["stage_tol"] = 0
+    assert cli_main(["integrate", "--config", write_config(tmp_path, d)]) == 2
+
+
 def test_load_config_errors(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "missing.json")
@@ -310,8 +398,8 @@ def test_gevrey_initial_moduli_and_determinism(nls):
         kind="gevrey_decay", tau=0.4, ell=1.5, amplitude=0.3, seed=12))
     assert not np.array_equal(a.coeffs, c.coeffs)
     # the declared regularity is certified by the tail machinery it feeds
-    ok, _margin = tail_bound_check(a, nls.energy_offsets, GevreyIndex(0.4, 1.5, nls.q), m=16.0)
-    assert ok
+    lhs, rhs = tail_bound_check(a, nls.energy_offsets, GevreyIndex(0.4, 1.5, nls.q), m=16.0)
+    assert lhs <= rhs
 
 
 def test_gevrey_initial_real_field(wave_cubic):
